@@ -42,12 +42,17 @@ class DegenerateSpike:
 
 SPIKE = DegenerateSpike()
 
+# float() of an extended-precision value is finite exactly below this: the
+# midpoint between the float64 maximum and 2**1024 rounds up, to infinity
+_FLOAT_OVERFLOW = np.longdouble(np.finfo(np.float64).max) + np.longdouble(2.0**970)
+
 
 class MomentSum(NamedTuple):
     """Partial-sum result of a high-order moment series.
 
-    ``truncated_at`` is None when all requested terms were summed,
-    otherwise the order at which extended precision saturated.
+    ``truncated_at`` is None when all requested terms were summed (or the
+    rest provably could not change the value), otherwise the first order
+    left out because it would have taken the sum past the float64 range.
     """
 
     value: float
@@ -161,20 +166,34 @@ class EmpiricalDistribution:
     def moment_l1_sum(self, n_terms: int = 300) -> MomentSum:
         """Sum of |raw moments| for orders 1..n_terms with saturation guard.
 
-        Powers accumulate in extended precision; if a term saturates, the
-        partial sum up to the previous order is returned together with the
-        truncation index.
+        Powers accumulate in extended precision. If adding order k would
+        take the sum past the float64 range (or a term saturates), the
+        partial sum up to order k - 1 is returned with truncated_at=k, so
+        the value is always finite.
+
+        When max|x| < 1, every later term is at most max|x|**(k+1) / (1 -
+        max|x|); the ladder stops once twice that bound no longer changes
+        the extended-precision sum. Rounding is monotone, so no later term
+        could have changed it either, and the result equals the full sum.
         """
         if n_terms < 1:
             raise ValueError("n_terms must be >= 1")
         base = self._sample.astype(np.longdouble)
         powers = np.ones_like(base)
+        amax = max(-base[0], base[-1])  # the sample is sorted
+        # tail = 2 * amax**(k+1) / (1 - amax) after term k; the factor 2
+        # covers the rounding of the computed powers
+        tail = 2 * amax / (1 - amax) if amax < 1 else np.longdouble(np.inf)
         total = np.longdouble(0.0)
         with np.errstate(over="ignore"):
             for k in range(1, n_terms + 1):
-                powers = powers * base
-                term = np.abs(powers.mean())
-                if not np.isfinite(term) or not np.isfinite(total + term):
+                np.multiply(powers, base, out=powers)
+                # the pairwise sum and division of powers.mean(), without its overhead
+                new = total + abs(np.add.reduce(powers) / self.n)
+                if not new < _FLOAT_OVERFLOW:  # also catches a NaN or inf term
                     return MomentSum(float(total), k)
-                total = total + term
+                total = new
+                tail *= amax
+                if total + tail == total:
+                    break
         return MomentSum(float(total), None)

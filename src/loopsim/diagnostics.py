@@ -221,14 +221,6 @@ def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceRes
     errors = {}
 
     cells = [(i, j) for i in range(len(p_grid)) for j in range(len(s_grid))]
-
-    def run_cell(idx):
-        i, j = idx
-        cell_config = engine.replace_config(config, usage_p=p_grid[i], adherence_s=s_grid[j])
-        report = engine.run(data, cell_config, probes=(), workers=1)
-        final = report.per_repeat["stddev"][:, -1]
-        return float(np.mean(final)), float(np.std(final))
-
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -242,7 +234,7 @@ def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceRes
     else:
         for idx in cells:
             try:
-                mean[idx], std[idx] = run_cell(idx)
+                mean[idx], std[idx] = _surface_cell(data, config, p_grid[idx[0]], s_grid[idx[1]])
             except Exception as exc:
                 errors[idx] = str(exc)
     return SurfaceResult(p_grid, s_grid, mean, std, errors)
@@ -253,6 +245,9 @@ def _surface_cell(data, config, p, s):
     from loopsim import engine
 
     cell_config = engine.replace_config(config, usage_p=p, adherence_s=s)
-    report = engine.run(data, cell_config, probes=(), workers=1)
+    # only stddev is read, so skip derive_kappas and its throwaway initial fit
+    report = engine.run(
+        data, cell_config, probes=(), kappa_list=engine.DEFAULT_KAPPA_FRACTIONS, workers=1
+    )
     final = report.per_repeat["stddev"][:, -1]
     return float(np.mean(final)), float(np.std(final))

@@ -340,7 +340,7 @@ def _observe(state, dist_kappas, moment_orders, l1_terms):
     dist = EmpiricalDistribution(resid)
     lo = float(dist.sample[0])
     hi = float(dist.sample[-1])
-    if dist.ecdf(lo - 1.0) != 0.0 or dist.ecdf(hi) != 1.0:
+    if dist.ecdf(np.nextafter(lo, -np.inf)) != 0.0 or dist.ecdf(hi) != 1.0:
         raise RuntimeError("probe ECDF failed the normalization check")
     out = {}
     d0 = dist.density_at(0.0)

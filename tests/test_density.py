@@ -123,12 +123,64 @@ def test_moment_l1_sum_geometric_oracle():
 
 
 def test_moment_l1_sum_truncates_on_overflow():
-    # terms are 1e(30k); extended precision holds ~1e4932, so the power
-    # ladder dies at k=165 and the partial sum itself exceeds float range
+    # terms are 1e(30k); adding 1e330 at k=11 would leave the float64 range,
+    # so the sum stops at 1e30 + ... + 1e300 and reports the truncation
     d = EmpiricalDistribution(np.full(30, 1e30))
     got = d.moment_l1_sum(300)
-    assert got.truncated_at == 165
-    assert got.value == math.inf
+    assert got.truncated_at == 11
+    assert math.isfinite(got.value)
+    assert got.value == pytest.approx(1e300, rel=1e-12)
+
+
+def test_moment_l1_sum_truncates_when_only_the_sum_overflows():
+    # every term stays inside extended precision (20**300 ~ 1e390), but the
+    # sum passes the float64 maximum near order 238
+    got = EmpiricalDistribution([-20.0, 3.0, 20.0]).moment_l1_sum(300)
+    assert got.truncated_at is not None
+    assert math.isfinite(got.value)
+    assert got.value > 1e300
+
+
+def _moment_l1_sum_reference(sample, n_terms=300):
+    """The plain 300-term loop that EmpiricalDistribution.moment_l1_sum replaces."""
+    base = sample.astype(np.longdouble)
+    powers = np.ones_like(base)
+    total = np.longdouble(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_terms + 1):
+            powers = powers * base
+            term = np.abs(powers.mean())
+            if not np.isfinite(term) or not np.isfinite(total + term):
+                return float(total), k
+            total = total + term
+    return float(total), None
+
+
+_unit = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+_ladder_samples = st.one_of(
+    # any scale the float64 range allows
+    st.tuples(st.lists(_unit, min_size=1, max_size=50), st.integers(-300, 300)).map(
+        lambda args: [x * 10.0 ** args[1] for x in args[0]]),
+    # entirely inside (-1, 1): the ladder stops early
+    st.lists(_unit, min_size=1, max_size=50),
+    # straddling +-1
+    st.tuples(st.lists(_unit, max_size=49), st.floats(1.0, 2.0), st.booleans()).map(
+        lambda args: args[0] + [args[1] if args[2] else -args[1]]),
+)
+
+
+@given(_ladder_samples)
+@settings(max_examples=150, deadline=None)
+def test_moment_l1_sum_matches_the_plain_loop(sample):
+    d = EmpiricalDistribution(sample)
+    got = d.moment_l1_sum(300)
+    want, want_truncated = _moment_l1_sum_reference(d.sample)
+    if math.isfinite(want):
+        assert (got.value, got.truncated_at) == (want, want_truncated)
+    else:
+        # the plain loop let the sum overflow float64; the ladder truncates
+        assert math.isfinite(got.value)
+        assert got.truncated_at is not None
 
 
 def test_sample_is_sorted_and_immutable():

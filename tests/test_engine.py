@@ -293,6 +293,18 @@ def test_run_normality_pvalues_present_for_large_windows():
     assert np.all((rep.normality_pvalues >= 0) & (rep.normality_pvalues <= 1))
 
 
+def test_run_keeps_probing_past_two_to_the_53():
+    # a diverging sampling loop whose residuals pass 2**53 near step 7500,
+    # where lo - 1.0 == lo: the probe's ECDF check must step below lo by one ulp
+    data = generate_linear(200, 10, noise_variance=1.0, seed=42)
+    rep = run(data, cfg(total_steps=9000, adherence_s=3.0, retrain_period=5, seed=7, repeats=1))
+    stddev = rep.per_repeat["stddev"][0]
+    assert np.all(np.isfinite(stddev))
+    assert stddev[-1] > 2.0**53
+    assert np.all(np.isfinite(rep.per_repeat["moment_l1"][0]))
+    assert rep.per_repeat["moment_l1_truncated"][0][-1] == 1.0
+
+
 def test_run_collect_traces():
     data = generate_linear(60, 3, noise_variance=1.0, seed=14)
     rep = run(data, cfg(total_steps=25, repeats=2), collect_traces=True)
