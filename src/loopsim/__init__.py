@@ -56,9 +56,9 @@ from loopsim.engine import (
     LoopConfig,
     LoopState,
     StepTrace,
-    init_sampling,
-    init_sliding,
+    init_state,
     run,
+    run_many,
     step,
 )
 from loopsim.regressors import TrainedModel, fit_huber_line, fit_ridge, fit_sgd, mse, predict
@@ -102,8 +102,7 @@ __all__ = [
     "gaussian_density",
     "generate_friedman1",
     "generate_linear",
-    "init_sampling",
-    "init_sliding",
+    "init_state",
     "linear_sequence",
     "moment_scaling_predict",
     "mse",
@@ -112,6 +111,7 @@ __all__ = [
     "power_sequence",
     "predict",
     "run",
+    "run_many",
     "step",
     "stddev_surface",
     "transformed_support",

@@ -6,6 +6,7 @@ it fails.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -22,7 +23,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-_RUN_KEYS = tuple(sorted(harness._CASTERS))
+_RUN_KEYS = tuple(sorted(f.name for f in dataclasses.fields(harness.ExperimentConfig)))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,8 @@ Breusch-Pagan homoscedasticity check on fit residuals.
 """
 
 import numbers
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -17,43 +18,67 @@ from loopsim.regressors import fit_huber_line
 
 @dataclass
 class DiagnosticsReport:
-    """Aggregated per-probe time series of a repeated-learning run.
+    """Per-probe statistics of a repeated-learning run.
 
-    Trace arrays hold the mean over repeats; the matching ``*_std`` arrays
-    hold the across-repeat standard deviation. ``per_repeat`` keeps the
-    raw (repeats x probes) matrices keyed by stat name ("psi", "stddev",
-    "normality_p", "moment_l1", "moment_<k>", "mass@<kappa>").
+    ``per_repeat`` keeps the raw (repeats x probes) matrices keyed by stat
+    name ("psi", "stddev", "normality_p", "moment_l1",
+    "moment_l1_truncated", "moment_<k>", "mass@<kappa>"); ``mean`` and
+    ``std`` reduce them over repeats, and the trace properties are their
+    means.
     """
 
     probe_steps: list
-    psi_trace: np.ndarray
-    psi_trace_std: np.ndarray
-    stddev_trace: np.ndarray
-    stddev_trace_std: np.ndarray
-    interval_masses: dict
-    interval_masses_std: dict
-    moment_traces: dict
-    moment_traces_std: dict
-    moment_l1_trace: np.ndarray
-    moment_l1_trace_std: np.ndarray
-    normality_pvalues: np.ndarray
-    normality_pvalues_std: np.ndarray
     kappa_list: list
+    moment_orders: list
     config_echo: object
-    repeats_aggregated: int
-    spike_counts: np.ndarray = None
-    per_repeat: dict = field(default_factory=dict)
+    per_repeat: dict
+    spike_counts: np.ndarray
     step_traces: list = None
 
     def __post_init__(self):
         n = len(self.probe_steps)
-        for name in ("psi_trace", "stddev_trace", "moment_l1_trace", "normality_pvalues"):
-            if len(getattr(self, name)) != n:
+        for name, matrix in self.per_repeat.items():
+            if matrix.shape[1] != n:
                 raise ValueError(f"{name} length does not match probe_steps")
-        pv = self.normality_pvalues
+        pv = self.per_repeat.get("normality_p", np.empty((0, 0)))
         pv = pv[np.isfinite(pv)]
         if pv.size and (pv.min() < 0 or pv.max() > 1):
             raise ValueError("p-values must lie in [0, 1]")
+
+    def mean(self, stat) -> np.ndarray:
+        """Mean over repeats, ignoring NaN; finite wherever the values are.
+
+        Where the plain float64 mean overflows, the values are scaled down
+        by a power of two at least the repeat count before averaging.
+        """
+        values = self.per_repeat[stat]
+        with warnings.catch_warnings():
+            # all-spike probes leave empty slices behind; NaN is the answer there
+            warnings.simplefilter("ignore", category=RuntimeWarning)
+            out = np.nanmean(values, axis=0)
+            over = ~np.isfinite(out)
+            if over.any():
+                scale = 2.0 ** len(values).bit_length()
+                out[over] = np.nanmean(values[:, over] / scale, axis=0) * scale
+        return out
+
+    def std(self, stat) -> np.ndarray:
+        """Standard deviation over repeats, ignoring NaN."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", category=RuntimeWarning)
+            return np.nanstd(self.per_repeat[stat], axis=0)
+
+    repeats_aggregated = property(lambda self: len(self.per_repeat["psi"]))
+    psi_trace = property(lambda self: self.mean("psi"))
+    stddev_trace = property(lambda self: self.mean("stddev"))
+    moment_l1_trace = property(lambda self: self.mean("moment_l1"))
+    normality_pvalues = property(lambda self: self.mean("normality_p"))
+    interval_masses = property(
+        lambda self: {kap: self.mean(f"mass@{kap:.10g}") for kap in self.kappa_list}
+    )
+    moment_traces = property(
+        lambda self: {k: self.mean(f"moment_{k}") for k in self.moment_orders}
+    )
 
 
 @dataclass(frozen=True)
@@ -207,8 +232,10 @@ def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceRes
     Each cell executes ``config.repeats`` independent runs probed only at
     step 0 and the final step; the cell value is the mean final-probe
     residual standard deviation, with the across-repeat deviation kept
-    alongside. A failing cell records its error and leaves NaN in the
-    matrices instead of aborting the sweep.
+    alongside. A grid value outside the config's range raises ValueError
+    before anything runs. A failing cell records its error, keyed by its
+    (i, j) index, and leaves NaN in the matrices instead of aborting the
+    sweep.
     """
     from loopsim import engine
 
@@ -216,38 +243,18 @@ def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceRes
     s_grid = list(s_grid)
     if not p_grid or not s_grid:
         raise ValueError("grids must be nonempty")
+    cells = [(i, j) for i in range(len(p_grid)) for j in range(len(s_grid))]
+    configs = [engine.replace_config(config, usage_p=p_grid[i], adherence_s=s_grid[j])
+               for i, j in cells]
+    # only stddev is read, so skip derive_kappas and its throwaway initial fit
+    reports = engine.run_many(data, configs, (), engine.DEFAULT_KAPPA_FRACTIONS, workers=workers)
     mean = np.full((len(p_grid), len(s_grid)), np.nan)
     std = np.full((len(p_grid), len(s_grid)), np.nan)
     errors = {}
-
-    cells = [(i, j) for i in range(len(p_grid)) for j in range(len(s_grid))]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {idx: pool.submit(_surface_cell, data, config, p_grid[idx[0]], s_grid[idx[1]]) for idx in cells}
-            for idx in cells:
-                try:
-                    mean[idx], std[idx] = futures[idx].result()
-                except Exception as exc:
-                    errors[idx] = str(exc)
-    else:
-        for idx in cells:
-            try:
-                mean[idx], std[idx] = _surface_cell(data, config, p_grid[idx[0]], s_grid[idx[1]])
-            except Exception as exc:
-                errors[idx] = str(exc)
+    for idx, report in zip(cells, reports):
+        if isinstance(report, Exception):
+            errors[idx] = str(report)
+        else:
+            final = report.per_repeat["stddev"][:, -1]
+            mean[idx], std[idx] = float(np.mean(final)), float(np.std(final))
     return SurfaceResult(p_grid, s_grid, mean, std, errors)
-
-
-def _surface_cell(data, config, p, s):
-    # module-level for pickling into worker processes
-    from loopsim import engine
-
-    cell_config = engine.replace_config(config, usage_p=p, adherence_s=s)
-    # only stddev is read, so skip derive_kappas and its throwaway initial fit
-    report = engine.run(
-        data, cell_config, probes=(), kappa_list=engine.DEFAULT_KAPPA_FRACTIONS, workers=1
-    )
-    final = report.per_repeat["stddev"][:, -1]
-    return float(np.mean(final)), float(np.std(final))

@@ -10,13 +10,13 @@ and the model is refit on a schedule. Two update protocols are supported:
 * ``sampling_update``: the active set is the whole dataset; each step draws
   one item uniformly and overwrites its target in place.
 
-``run`` executes several independent repeats and aggregates per-probe
-residual statistics into a DiagnosticsReport.
+``run`` executes several independent repeats and collects their per-probe
+residual statistics into a DiagnosticsReport; ``run_many`` does the same
+for several configs through one task list.
 """
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,86 +195,53 @@ def _retrain(state: LoopState, config: LoopConfig) -> None:
     state.sigma2 = mse(state.model, state.features[hold], state.targets[hold])
 
 
-def init_sliding(data: Dataset, config: LoopConfig, rng=None) -> LoopState:
-    """Set up a sliding-window run: sample the window, permute the reserve.
-
-    When rng is omitted it is seeded from config.seed. total_steps must fit
-    inside the reserve (the window itself never shrinks or grows).
-    """
-    if config.setting != SETTING_SLIDING:
-        raise ValueError(f"config setting is {config.setting!r}, expected {SETTING_SLIDING!r}")
-    m = data.n_rows
-    if m < 10:
-        raise ValueError(f"sliding window needs at least 10 rows, got {m}")
-    w = config.window_size(m)
-    if w < 3:
-        raise ValueError(f"window of {w} items cannot support the retrain split")
-    reserve_size = m - w
-    if config.total_steps > reserve_size:
-        raise ValueError(
-            f"total_steps {config.total_steps} exceeds the reserve of {reserve_size} items"
-        )
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    order = rng.permutation(m)
-    active = order[:w]
-    reserve = order[w:]
-    state = LoopState(
-        features=data.features[active].copy(),
-        targets=data.targets[active].copy(),
-        item_indices=active.copy(),
-        reserve_features=data.features[reserve].copy(),
-        reserve_targets=data.targets[reserve].copy(),
-        reserve_indices=reserve.copy(),
-        reserve_pos=0,
-        ring_pos=0,
-        step_t=0,
-        round_r=0,
-        model=None,
-        sigma2=0.0,
-        replaced_count=0,
-        rng=rng,
-    )
-    _retrain(state, config)
-    return state
-
-
-def init_sampling(data: Dataset, config: LoopConfig, rng=None) -> LoopState:
-    """Set up a sampling-update run over the full dataset."""
-    if config.setting != SETTING_SAMPLING:
-        raise ValueError(f"config setting is {config.setting!r}, expected {SETTING_SAMPLING!r}")
-    m = data.n_rows
-    if m < 2:
-        raise ValueError(f"sampling updates need at least 2 rows, got {m}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    empty_f = np.empty((0, data.n_features))
-    empty_t = np.empty(0)
-    state = LoopState(
-        features=data.features.copy(),
-        targets=data.targets.copy(),
-        item_indices=np.arange(m),
-        reserve_features=empty_f,
-        reserve_targets=empty_t,
-        reserve_indices=np.empty(0, dtype=int),
-        reserve_pos=0,
-        ring_pos=0,
-        step_t=0,
-        round_r=0,
-        model=None,
-        sigma2=0.0,
-        replaced_count=0,
-        rng=rng,
-    )
-    _retrain(state, config)
-    return state
-
-
 def init_state(data: Dataset, config: LoopConfig, rng=None) -> LoopState:
-    """Dispatch to the initializer matching config.setting."""
-    if config.setting == SETTING_SLIDING:
-        return init_sliding(data, config, rng=rng)
-    return init_sampling(data, config, rng=rng)
+    """Set up a run: the active set, the reserve, and the first fit.
+
+    A sliding window samples its active set and permutes the other items
+    into the reserve; total_steps must fit inside that reserve (the window
+    never shrinks or grows). A sampling run works on the whole dataset in
+    its own order with an empty reserve and draws nothing from rng. When
+    rng is omitted it is seeded from config.seed.
+    """
+    m = data.n_rows
+    sliding = config.setting == SETTING_SLIDING
+    if sliding:
+        if m < 10:
+            raise ValueError(f"sliding window needs at least 10 rows, got {m}")
+        w = config.window_size(m)
+        if w < 3:
+            raise ValueError(f"window of {w} items cannot support the retrain split")
+        if config.total_steps > m - w:
+            raise ValueError(
+                f"total_steps {config.total_steps} exceeds the reserve of {m - w} items"
+            )
+    elif m < 2:
+        raise ValueError(f"sampling updates need at least 2 rows, got {m}")
+    else:
+        w = m
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    order = rng.permutation(m) if sliding else np.arange(m)
+    active, reserve = order[:w], order[w:]
+    state = LoopState(
+        features=data.features[active],
+        targets=data.targets[active],
+        item_indices=active,
+        reserve_features=data.features[reserve],
+        reserve_targets=data.targets[reserve],
+        reserve_indices=reserve,
+        reserve_pos=0,
+        ring_pos=0,
+        step_t=0,
+        round_r=0,
+        model=None,
+        sigma2=0.0,
+        replaced_count=0,
+        rng=rng,
+    )
+    _retrain(state, config)
+    return state
 
 
 def step(state: LoopState, config: LoopConfig) -> StepTrace:
@@ -334,84 +301,61 @@ def _resolve_probes(config: LoopConfig, probes) -> list[int]:
     return sorted(chosen)
 
 
-def _observe(state, dist_kappas, moment_orders, l1_terms):
-    """Compute one probe's residual statistics from the current state."""
+def _observe(state, i, res, masses, moments, l1_terms):
+    """Write one probe's residual statistics into column i of res."""
     resid = state.residuals()
     dist = EmpiricalDistribution(resid)
     lo = float(dist.sample[0])
     hi = float(dist.sample[-1])
     if dist.ecdf(np.nextafter(lo, -np.inf)) != 0.0 or dist.ecdf(hi) != 1.0:
         raise RuntimeError("probe ECDF failed the normalization check")
-    out = {}
     d0 = dist.density_at(0.0)
-    if d0 is SPIKE:
-        out["psi"] = np.nan
-        out["spike"] = 1.0
-    else:
-        out["psi"] = float(d0)
-        out["spike"] = 0.0
-    out["stddev"] = float(np.std(resid))
-    out["mass"] = np.array([dist.interval_mass(k) for k in dist_kappas])
-    moments = np.full(len(moment_orders), np.nan)
-    for i, order in enumerate(moment_orders):
+    res["spike"][i] = d0 is SPIKE
+    res["psi"][i] = np.nan if d0 is SPIKE else float(d0)
+    res["stddev"][i] = float(np.std(resid))
+    for name, kappa in masses:
+        res[name][i] = dist.interval_mass(kappa)
+    for name, order in moments:
         try:
-            moments[i] = dist.raw_moment(order)
+            res[name][i] = dist.raw_moment(order)
         except SaturationError:
             pass
-    out["moments"] = moments
     l1 = dist.moment_l1_sum(l1_terms)
-    out["moment_l1"] = l1.value
-    out["moment_l1_truncated"] = 0.0 if l1.truncated_at is None else 1.0
+    res["moment_l1"][i] = l1.value
+    res["moment_l1_truncated"][i] = l1.truncated_at is not None
     if dist.n >= 20 and np.ptp(resid) > 0:
-        out["normality_p"] = normality_test(resid)[1]
-    else:
-        out["normality_p"] = np.nan
-    return out
+        res["normality_p"][i] = normality_test(resid)[1]
 
 
 def _run_repeat(data, config, child_seed, probe_steps, kappas, moment_orders, l1_terms, collect):
+    """One repeat: its per-probe statistics by per_repeat name, and its step traces."""
     rng = np.random.default_rng(child_seed)
     state = init_state(data, config, rng=rng)
-    n_probes = len(probe_steps)
-    res = {
-        "psi": np.full(n_probes, np.nan),
-        "spike": np.zeros(n_probes),
-        "stddev": np.full(n_probes, np.nan),
-        "mass": np.full((len(kappas), n_probes), np.nan),
-        "moments": np.full((len(moment_orders), n_probes), np.nan),
-        "moment_l1": np.full(n_probes, np.nan),
-        "moment_l1_truncated": np.zeros(n_probes),
-        "normality_p": np.full(n_probes, np.nan),
-    }
+    masses = [(f"mass@{kap:.10g}", kap) for kap in kappas]
+    moments = [(f"moment_{order}", order) for order in moment_orders]
+    names = ["spike", "psi", "stddev", "moment_l1", "moment_l1_truncated", "normality_p"]
+    names += [name for name, _ in masses + moments]
+    res = {name: np.full(len(probe_steps), np.nan) for name in names}
     traces = [] if collect else None
     lookup = {t: i for i, t in enumerate(probe_steps)}
-
-    def record(t):
-        i = lookup[t]
-        obs = _observe(state, kappas, moment_orders, l1_terms)
-        res["psi"][i] = obs["psi"]
-        res["spike"][i] = obs["spike"]
-        res["stddev"][i] = obs["stddev"]
-        res["mass"][:, i] = obs["mass"]
-        res["moments"][:, i] = obs["moments"]
-        res["moment_l1"][i] = obs["moment_l1"]
-        res["moment_l1_truncated"][i] = obs["moment_l1_truncated"]
-        res["normality_p"][i] = obs["normality_p"]
-
     if 0 in lookup:
-        record(0)
+        _observe(state, lookup[0], res, masses, moments, l1_terms)
     for t in range(1, config.total_steps + 1):
         trace = step(state, config)
         if collect:
             traces.append(trace)
         if t in lookup:
-            record(t)
-    res["traces"] = traces
-    return res
+            _observe(state, lookup[t], res, masses, moments, l1_terms)
+    return res, traces
 
 
-def _run_repeat_star(args):
-    return _run_repeat(*args)
+def _run_task(args):
+    # module-level for pickling into worker processes; a failed repeat
+    # comes back as its exception, so the other repeats still report
+    try:
+        return _run_repeat(*args)
+    except Exception as exc:
+        return exc
 
 
 def derive_kappas(data: Dataset, config: LoopConfig) -> list[float]:
@@ -429,87 +373,74 @@ def derive_kappas(data: Dataset, config: LoopConfig) -> list[float]:
     return list(DEFAULT_KAPPA_FRACTIONS)
 
 
-def run(
-    data: Dataset,
-    config: LoopConfig,
-    probes=None,
-    kappa_list=None,
-    moment_orders=DEFAULT_MOMENT_ORDERS,
-    moment_l1_terms=DEFAULT_MOMENT_L1_TERMS,
-    collect_traces: bool = False,
-    workers: int = 1,
-) -> DiagnosticsReport:
+def run(data: Dataset, config: LoopConfig, probes=None, kappa_list=None,
+        **options) -> DiagnosticsReport:
     """Execute config.repeats independent runs and aggregate probe stats.
 
     Repeat seeds are spawned from config.seed, so results are reproducible
     and independent of workers. probes=None uses the default schedule for
     the setting; an explicit sequence is used as-is (step 0 and the final
     step are always included). kappa_list=None derives interval
-    half-widths from the initial residual spread.
+    half-widths from the initial residual spread. The other options are
+    those of run_many. A failed repeat raises.
     """
-    probe_steps = _resolve_probes(config, probes)
-    kappas = list(kappa_list) if kappa_list is not None else derive_kappas(data, config)
+    if kappa_list is None:
+        kappa_list = derive_kappas(data, config)
+    report = run_many(data, [config], probes, kappa_list, **options)[0]
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def run_many(
+    data: Dataset,
+    configs,
+    probes,
+    kappa_list,
+    moment_orders=DEFAULT_MOMENT_ORDERS,
+    moment_l1_terms=DEFAULT_MOMENT_L1_TERMS,
+    collect_traces: bool = False,
+    workers: int = 1,
+) -> list:
+    """Run the repeats of several configs as one task list.
+
+    Every (config, repeat) pair is one task; with workers > 1 they share
+    one process pool. Returns one DiagnosticsReport per config, in order,
+    or the exception of the config's first failed repeat.
+    """
+    kappas = list(kappa_list)
     if any(k <= 0 for k in kappas):
         raise ValueError("interval half-widths must be positive")
     orders = [int(k) for k in moment_orders]
-    children = np.random.SeedSequence(config.seed).spawn(config.repeats)
-    arg_list = [
-        (data, config, children[r], probe_steps, kappas, orders, moment_l1_terms, collect_traces)
-        for r in range(config.repeats)
+    probe_steps = [_resolve_probes(config, probes) for config in configs]
+    tasks = [
+        (data, config, child, steps, kappas, orders, moment_l1_terms, collect_traces)
+        for config, steps in zip(configs, probe_steps)
+        for child in np.random.SeedSequence(config.seed).spawn(config.repeats)
     ]
-    if workers > 1 and config.repeats > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers > 1 and len(tasks) > 1:
+        from concurrent import futures
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_repeat_star, arg_list))
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_task, tasks))
     else:
-        results = [_run_repeat(*args) for args in arg_list]
-
-    def stack(key):
-        return np.stack([r[key] for r in results])
-
-    per_repeat = {
-        "psi": stack("psi"),
-        "stddev": stack("stddev"),
-        "normality_p": stack("normality_p"),
-        "moment_l1": stack("moment_l1"),
-        "moment_l1_truncated": stack("moment_l1_truncated"),
-    }
-    mass_cube = stack("mass")
-    moment_cube = stack("moments")
-    for i, kap in enumerate(kappas):
-        per_repeat[f"mass@{kap:.10g}"] = mass_cube[:, i, :]
-    for i, order in enumerate(orders):
-        per_repeat[f"moment_{order}"] = moment_cube[:, i, :]
-
-    with warnings.catch_warnings():
-        # all-spike probes leave empty slices behind; NaN is the answer there
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        psi_mean = np.nanmean(per_repeat["psi"], axis=0)
-        psi_std = np.nanstd(per_repeat["psi"], axis=0)
-        masses = {kap: np.nanmean(mass_cube[:, i, :], axis=0) for i, kap in enumerate(kappas)}
-        masses_std = {kap: np.nanstd(mass_cube[:, i, :], axis=0) for i, kap in enumerate(kappas)}
-        moments = {k: np.nanmean(moment_cube[:, i, :], axis=0) for i, k in enumerate(orders)}
-        moments_std = {k: np.nanstd(moment_cube[:, i, :], axis=0) for i, k in enumerate(orders)}
-        report = DiagnosticsReport(
-            probe_steps=list(probe_steps),
-            psi_trace=psi_mean,
-            psi_trace_std=psi_std,
-            stddev_trace=np.nanmean(per_repeat["stddev"], axis=0),
-            stddev_trace_std=np.nanstd(per_repeat["stddev"], axis=0),
-            interval_masses=masses,
-            interval_masses_std=masses_std,
-            moment_traces=moments,
-            moment_traces_std=moments_std,
-            moment_l1_trace=np.nanmean(per_repeat["moment_l1"], axis=0),
-            moment_l1_trace_std=np.nanstd(per_repeat["moment_l1"], axis=0),
-            normality_pvalues=np.nanmean(per_repeat["normality_p"], axis=0),
-            normality_pvalues_std=np.nanstd(per_repeat["normality_p"], axis=0),
+        results = [_run_task(task) for task in tasks]
+    reports = []
+    for config, steps in zip(configs, probe_steps):
+        mine, results = results[: config.repeats], results[config.repeats :]
+        failed = [r for r in mine if isinstance(r, Exception)]
+        if failed:
+            reports.append(failed[0])
+            continue
+        per_repeat = {name: np.stack([res[name] for res, _ in mine]) for name in mine[0][0]}
+        spikes = per_repeat.pop("spike")
+        reports.append(DiagnosticsReport(
+            probe_steps=steps,
             kappa_list=kappas,
+            moment_orders=orders,
             config_echo=config,
-            repeats_aggregated=config.repeats,
-            spike_counts=np.sum(stack("spike"), axis=0),
             per_repeat=per_repeat,
-            step_traces=[r["traces"] for r in results] if collect_traces else None,
-        )
-    return report
+            spike_counts=np.sum(spikes, axis=0),
+            step_traces=[traces for _, traces in mine] if collect_traces else None,
+        ))
+    return reports

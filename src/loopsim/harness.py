@@ -9,9 +9,12 @@ byte (timestamps live only in the manifest, which is never hashed).
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
+import types
+import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,6 +45,7 @@ from loopsim.engine import (
     SETTING_SAMPLING,
     SETTING_SLIDING,
     LoopConfig,
+    replace_config,
     run,
 )
 
@@ -81,6 +85,10 @@ def sha256_file(path: Path) -> str:
 # configuration
 
 
+# LoopConfig fields whose ExperimentConfig key has another name; the others match
+_LOOP_KEYS = {"total_steps": "steps", "usage_p": "usage", "adherence_s": "adherence"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment description; every field has a canonical string form."""
@@ -106,73 +114,31 @@ class ExperimentConfig:
     seed: int = 0
     repeats: int = 10
     probe_every: int | None = None
-    probes: tuple | None = None
-    kappas: tuple | None = None
-    usage_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
-    adherence_grid: tuple = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-    segment: tuple | None = None
+    probes: tuple[int, ...] | None = None
+    kappas: tuple[float, ...] | None = None
+    usage_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
+    adherence_grid: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    segment: tuple[float, float] | None = None
     psi: str = "power:2"
     demo_variance: float = 25.0
-    t_list: tuple = (1, 2, 5, 10, 20, 50, 100)
+    t_list: tuple[int, ...] = (1, 2, 5, 10, 20, 50, 100)
     out_dir: str = ""
     workers: int = 0
     collect_traces: bool = False
 
     def to_flat_dict(self) -> dict:
         """Canonical flat key=value view; parsing it back is the identity."""
-        out = {
-            "experiment": self.experiment,
-            "dataset": self.dataset,
-            "kind": self.kind,
-            "rows": str(self.rows),
-            "cols": str(self.cols),
-            "noise": repr(self.noise),
-            "data_seed": str(self.data_seed),
-            "setting": self.setting,
-            "usage": repr(self.usage),
-            "adherence": repr(self.adherence),
-            "steps": str(self.steps),
-            "retrain_period": str(self.retrain_period),
-            "window_fraction": "" if self.window_fraction is None else repr(self.window_fraction),
-            "model": self.model,
-            "regularization": repr(self.regularization),
-            "sgd_iterations": str(self.sgd_iterations),
-            "train_fraction": repr(self.train_fraction),
-            "holdout_fraction": repr(self.holdout_fraction),
-            "seed": str(self.seed),
-            "repeats": str(self.repeats),
-            "probe_every": "" if self.probe_every is None else str(self.probe_every),
-            "probes": "" if self.probes is None else ",".join(str(t) for t in self.probes),
-            "kappas": "" if self.kappas is None else ",".join(repr(k) for k in self.kappas),
-            "usage_grid": ",".join(repr(v) for v in self.usage_grid),
-            "adherence_grid": ",".join(repr(v) for v in self.adherence_grid),
-            "segment": "" if self.segment is None else f"{self.segment[0]!r}:{self.segment[1]!r}",
-            "psi": self.psi,
-            "demo_variance": repr(self.demo_variance),
-            "t_list": ",".join(str(t) for t in self.t_list),
-            "out_dir": self.out_dir,
-            "workers": str(self.workers),
-            "collect_traces": "true" if self.collect_traces else "false",
-        }
-        return out
+        flat = {}
+        for key, (_parse, fmt) in _CODECS.items():
+            value = getattr(self, key)
+            flat[key] = "" if value is None else fmt(value)
+        return flat
 
     def loop_config(self) -> LoopConfig:
-        return LoopConfig(
-            setting=self.setting,
-            total_steps=self.steps,
-            usage_p=self.usage,
-            adherence_s=self.adherence,
-            retrain_period=self.retrain_period,
-            window_fraction=self.window_fraction,
-            model=self.model,
-            regularization=self.regularization,
-            sgd_iterations=self.sgd_iterations,
-            train_fraction=self.train_fraction,
-            holdout_fraction=self.holdout_fraction,
-            seed=self.seed,
-            repeats=self.repeats,
-            probe_every=self.probe_every,
-        )
+        return LoopConfig(**{
+            field.name: getattr(self, _LOOP_KEYS.get(field.name, field.name))
+            for field in dataclasses.fields(LoopConfig)
+        })
 
     def resolved_out_dir(self) -> Path:
         if self.out_dir:
@@ -255,13 +221,6 @@ def _parse_int_list(key, value) -> tuple:
         raise ConfigError(f"{key} must be a comma list of integers, got {value!r}") from exc
 
 
-def _parse_float_list(key, value) -> tuple:
-    try:
-        return tuple(float(p) for p in value.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a comma list of numbers, got {value!r}") from exc
-
-
 def _parse_segment(key, value) -> tuple:
     parts = value.split(":")
     if len(parts) != 2:
@@ -272,52 +231,45 @@ def _parse_segment(key, value) -> tuple:
     return (lo, hi)
 
 
-_CASTERS = {
-    "experiment": lambda k, v: v,
-    "dataset": lambda k, v: v,
-    "kind": lambda k, v: v,
-    "rows": _cast_int,
-    "cols": _cast_int,
-    "noise": _cast_float,
-    "data_seed": _cast_int,
-    "setting": lambda k, v: v,
-    "usage": _cast_float,
-    "adherence": _cast_float,
-    "steps": _cast_int,
-    "retrain_period": _cast_int,
-    "window_fraction": _cast_float,
-    "model": lambda k, v: v,
-    "regularization": _cast_float,
-    "sgd_iterations": _cast_int,
-    "train_fraction": _cast_float,
-    "holdout_fraction": _cast_float,
-    "seed": _cast_int,
-    "repeats": _cast_int,
-    "probe_every": _cast_int,
-    "probes": _parse_int_list,
-    "kappas": _parse_float_list,
-    "usage_grid": _parse_grid,
-    "adherence_grid": _parse_grid,
-    "segment": _parse_segment,
-    "psi": lambda k, v: v,
-    "demo_variance": _cast_float,
-    "t_list": _parse_int_list,
-    "out_dir": lambda k, v: v,
-    "workers": _cast_int,
-    "collect_traces": _cast_bool,
+def _format_list(fmt):
+    return lambda values: ",".join(fmt(v) for v in values)
+
+
+# (parse, format) by field type; parse(key, text) raises ConfigError
+_TYPE_CODECS = {
+    str: (lambda key, text: text, str),
+    int: (_cast_int, str),
+    float: (_cast_float, repr),
+    bool: (_cast_bool, lambda value: "true" if value else "false"),
+    tuple[int, ...]: (_parse_int_list, _format_list(str)),
+    tuple[float, ...]: (_parse_grid, _format_list(repr)),
+    tuple[float, float]: (_parse_segment, lambda value: f"{value[0]!r}:{value[1]!r}"),
 }
 
-# keys whose empty string means "unset"
-_OPTIONAL_KEYS = ("window_fraction", "probe_every", "probes", "kappas", "segment")
+
+def _field_codec(field):
+    """The codec of a field's type; ``X | None`` uses the codec of X."""
+    kind = field.type
+    if isinstance(kind, types.UnionType):
+        (kind,) = (arg for arg in typing.get_args(kind) if arg is not type(None))
+    return _TYPE_CODECS[kind]
+
+
+_CODECS = {field.name: _field_codec(field) for field in dataclasses.fields(ExperimentConfig)}
+# an empty value leaves these keys at their default
+_BLANK_DEFAULTS = {
+    field.name for field in dataclasses.fields(ExperimentConfig) if field.default in (None, "")
+}
 
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Validate a flat string mapping and produce an ExperimentConfig.
 
     Unknown keys are rejected outright. Loop parameters are checked here,
-    before anything runs, by constructing the engine config.
+    before anything runs, by constructing the engine config (on a sweep,
+    the config of every grid cell).
     """
-    unknown = sorted(set(raw) - set(_CASTERS))
+    unknown = sorted(set(raw) - set(_CODECS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "experiment" not in raw or not raw["experiment"].strip():
@@ -325,11 +277,15 @@ def build_config(raw: dict) -> ExperimentConfig:
     values = {}
     for key, text in raw.items():
         text = text.strip() if isinstance(text, str) else text
-        if text == "" and (key in _OPTIONAL_KEYS or key in ("dataset", "out_dir")):
+        if text == "" and key in _BLANK_DEFAULTS:
             continue
         if text == "":
             raise ConfigError(f"{key} has an empty value")
-        values[key] = _CASTERS[key](key, text) if isinstance(text, str) else text
+        value = _CODECS[key][0](key, text) if isinstance(text, str) else text
+        if isinstance(text, str) and value == ():
+            # "" is the unset form, so an empty list could not round-trip
+            raise ConfigError(f"{key} lists no values")
+        values[key] = value
     experiment = values.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
@@ -346,7 +302,10 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     if experiment != "analytic_demo":
         try:
-            config.loop_config()
+            loop_config = config.loop_config()
+            if experiment == "sweep":
+                for p, s in itertools.product(config.usage_grid, config.adherence_grid):
+                    replace_config(loop_config, usage_p=p, adherence_s=s)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not config.dataset:
@@ -490,9 +449,9 @@ def _summarize_report(report) -> dict:
         "probe_steps": report.probe_steps,
         "kappas": report.kappa_list,
         "psi_mean": report.psi_trace,
-        "psi_std": report.psi_trace_std,
+        "psi_std": report.std("psi"),
         "stddev_mean": report.stddev_trace,
-        "stddev_std": report.stddev_trace_std,
+        "stddev_std": report.std("stddev"),
         "interval_mass_mean": {repr(k): v for k, v in report.interval_masses.items()},
         "moment_l1_mean": report.moment_l1_trace,
         "normality_p_mean": report.normality_pvalues,
@@ -530,29 +489,18 @@ def _run_trace_experiment(config: ExperimentConfig, out_dir: Path) -> tuple[list
             float(np.mean(valid < 0.05)) if valid.size else None
         )
     elif config.experiment == "autonomy":
-        fits = {}
         steps = np.asarray(report.probe_steps, dtype=float)
-        try:
-            fits["full"] = autonomy_fit(steps, report.psi_trace).to_json_dict()
-        except ValueError as exc:
-            fits["full"] = {"error": str(exc)}
+
+        def fit(psi, segment=None):
+            try:
+                return autonomy_fit(steps, psi, segment=segment).to_json_dict()
+            except ValueError as exc:
+                return {"error": str(exc)}
+
+        summary["fits"] = {"full": fit(report.psi_trace)}
         if config.segment is not None:
-            try:
-                fits["segment"] = autonomy_fit(
-                    steps, report.psi_trace, segment=config.segment
-                ).to_json_dict()
-            except ValueError as exc:
-                fits["segment"] = {"error": str(exc)}
-        per_repeat = []
-        for r in range(report.repeats_aggregated):
-            try:
-                per_repeat.append(
-                    autonomy_fit(steps, report.per_repeat["psi"][r]).to_json_dict()
-                )
-            except ValueError as exc:
-                per_repeat.append({"error": str(exc)})
-        summary["fits"] = fits
-        summary["per_repeat_fits"] = per_repeat
+            summary["fits"]["segment"] = fit(report.psi_trace, config.segment)
+        summary["per_repeat_fits"] = [fit(psi) for psi in report.per_repeat["psi"]]
     elif config.experiment == "moments":
         summary["moment_mean"] = {str(k): v for k, v in report.moment_traces.items()}
         summary["truncated_fraction"] = np.mean(
@@ -695,6 +643,12 @@ def config_from_manifest(path) -> ExperimentConfig:
         raise ConfigError(f"manifest not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest is not valid JSON: {path}") from exc
+    version = manifest.get("tool_version")
+    if version != loopsim.__version__:
+        # another version may produce other bytes from the same config
+        raise ConfigError(
+            f"manifest was written by loopsim {version}, this is {loopsim.__version__}: {path}"
+        )
     snapshot = manifest.get("config_snapshot")
     if not isinstance(snapshot, dict):
         raise ConfigError(f"manifest has no config_snapshot: {path}")
@@ -718,6 +672,16 @@ def _verify_manifest(manifest_path: Path) -> dict:
     return manifest
 
 
+# run output -> (row count key, merged file, merged header)
+_MERGED_OUTPUTS = {
+    "trace.csv": ("traces", "merged_traces.csv",
+                  "config_hash,experiment,step,repeat,stat_name,value"),
+    "surface.csv": ("surfaces", "merged_surfaces.csv",
+                    "config_hash,usage_p,adherence_s,mean_final_stddev,std_final_stddev,status"),
+    "analytic.csv": ("analytic", "merged_analytic.csv", "config_hash,t,stat_name,value"),
+}
+
+
 def report(manifest_paths, out_dir) -> dict:
     """Merge verified run outputs into tidy long-format CSVs.
 
@@ -727,7 +691,7 @@ def report(manifest_paths, out_dir) -> dict:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace_rows, surface_rows, analytic_rows = [], [], []
+    merged = {name: [] for name in _MERGED_OUTPUTS}
     groups = {}
     for mp in manifest_paths:
         mp = Path(mp)
@@ -736,50 +700,22 @@ def report(manifest_paths, out_dir) -> dict:
         experiment = manifest.get("config_snapshot", {}).get("experiment", "")
         groups.setdefault(chash, {"experiment": experiment, "manifests": []})
         groups[chash]["manifests"].append(str(mp))
-        base = mp.parent
         for name in manifest.get("output_paths", []):
-            if not name.endswith(".csv"):
+            if name not in merged:
                 continue
-            lines = (base / name).read_text(encoding="utf-8").splitlines()
-            header, body = lines[0], lines[1:]
-            if name == "trace.csv":
-                trace_rows.extend(f"{chash},{experiment},{row}" for row in body)
-            elif name == "surface.csv":
-                surface_rows.extend(f"{chash},{row}" for row in body)
-            elif name == "analytic.csv":
-                analytic_rows.extend(f"{chash},{row}" for row in body)
+            body = (mp.parent / name).read_text(encoding="utf-8").splitlines()[1:]
+            prefix = f"{chash},{experiment}," if name == "trace.csv" else f"{chash},"
+            merged[name].extend(prefix + row for row in body)
     written = []
-    if trace_rows:
-        path = out_dir / "merged_traces.csv"
-        path.write_text(
-            "config_hash,experiment,step,repeat,stat_name,value\n"
-            + "\n".join(trace_rows) + "\n",
-            encoding="utf-8",
-        )
-        written.append(path)
-    if surface_rows:
-        path = out_dir / "merged_surfaces.csv"
-        path.write_text(
-            "config_hash,usage_p,adherence_s,mean_final_stddev,std_final_stddev,status\n"
-            + "\n".join(surface_rows) + "\n",
-            encoding="utf-8",
-        )
-        written.append(path)
-    if analytic_rows:
-        path = out_dir / "merged_analytic.csv"
-        path.write_text(
-            "config_hash,t,stat_name,value\n" + "\n".join(analytic_rows) + "\n",
-            encoding="utf-8",
-        )
-        written.append(path)
+    for name, (_key, merged_name, header) in _MERGED_OUTPUTS.items():
+        if merged[name]:
+            path = out_dir / merged_name
+            path.write_text(header + "\n" + "\n".join(merged[name]) + "\n", encoding="utf-8")
+            written.append(path)
     summary = {
         "groups": groups,
         "merged_files": [p.name for p in written],
-        "row_counts": {
-            "traces": len(trace_rows),
-            "surfaces": len(surface_rows),
-            "analytic": len(analytic_rows),
-        },
+        "row_counts": {key: len(merged[name]) for name, (key, _, _) in _MERGED_OUTPUTS.items()},
     }
     _write_json(out_dir / "report_summary.json", summary)
     return summary

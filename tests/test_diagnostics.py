@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from loopsim.data import generate_linear
 from loopsim.density import InsufficientSampleError
+from loopsim import engine
 from loopsim.diagnostics import (
+    DiagnosticsReport,
     autonomy_fit,
     breusch_pagan,
     normality_test,
@@ -210,5 +212,52 @@ def test_surface_collects_cell_errors():
     surf = stddev_surface(data, (0.0, 1.0), (0.0,), base)
     # every cell shares the degenerate dataset, so all fail; the sweep
     # itself must survive and report per-cell messages
-    assert set(surf.errors) == {(0.0, 0.0), (1.0, 0.0)}
+    assert set(surf.errors) == {(0, 0), (1, 0)}
     assert np.all(np.isnan(surf.mean))
+
+
+def test_surface_rejects_out_of_range_grid_before_running(surface_inputs, monkeypatch):
+    data, base = surface_inputs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no cell may run")
+
+    monkeypatch.setattr(engine, "run_many", refuse)
+    with pytest.raises(ValueError, match="usage_p"):
+        stddev_surface(data, (0.0, 1.5), (0.0,), base)
+    with pytest.raises(ValueError, match="adherence_s"):
+        stddev_surface(data, (0.0,), (0.0, -1.0), base)
+
+
+# -- report aggregate ---------------------------------------------------
+
+def _report(values):
+    matrix = np.array(values, dtype=float)
+    return DiagnosticsReport(
+        probe_steps=list(range(matrix.shape[1])), kappa_list=[], moment_orders=[],
+        config_echo=None, per_repeat={"moment_l1": matrix},
+        spike_counts=np.zeros(matrix.shape[1]),
+    )
+
+
+def test_report_mean_stays_finite_near_the_float_maximum():
+    big = 1.7e308
+    rep = _report([[big, big, 1.0, np.nan],
+                   [big, 1.6e308, 3.0, np.nan],
+                   [np.nan, big, 5.0, np.nan]])
+    with np.errstate(over="ignore"), pytest.warns(RuntimeWarning, match="empty slice"):
+        plain = np.nanmean(rep.per_repeat["moment_l1"], axis=0)
+    assert not np.isfinite(plain[:2]).any()
+    mean = rep.mean("moment_l1")
+    assert mean[0] == big
+    assert mean[1] == pytest.approx(big / 3 + big / 3 + 1.6e308 / 3, rel=1e-15)
+    # a mean that was finite keeps its bits, and an all-NaN probe stays NaN
+    assert mean[2] == plain[2] == 3.0
+    assert np.isnan(mean[3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=12))
+def test_report_mean_is_the_plain_nanmean_where_finite(values):
+    rep = _report([[v] for v in values])
+    assert rep.mean("moment_l1")[0] == np.nanmean(rep.per_repeat["moment_l1"], axis=0)[0]

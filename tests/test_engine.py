@@ -9,11 +9,10 @@ from loopsim.engine import (
     SETTING_SLIDING,
     LoopComplete,
     LoopConfig,
-    init_sampling,
-    init_sliding,
     init_state,
     replace_config,
     run,
+    run_many,
     step,
 )
 
@@ -89,7 +88,7 @@ def test_window_size_arithmetic():
 def test_init_sliding_split_sizes():
     data = generate_linear(2000, 4, noise_variance=1.0, seed=0)
     c = cfg(setting=SETTING_SLIDING, total_steps=1400)
-    st = init_sliding(data, c, np.random.default_rng(0))
+    st = init_state(data, c, np.random.default_rng(0))
     assert st.window_size == 600
     assert st.reserve_remaining == 1400
     assert st.step_t == 0
@@ -102,7 +101,7 @@ def test_init_sliding_tiny_dataset():
     data = generate_linear(10, 2, noise_variance=1.0, seed=0)
     c = cfg(setting=SETTING_SLIDING, total_steps=7,
             model="ridge_regularized", regularization=0.1)
-    st = init_sliding(data, c, np.random.default_rng(0))
+    st = init_state(data, c, np.random.default_rng(0))
     assert st.window_size == 3
     assert st.reserve_remaining == 7
 
@@ -110,13 +109,13 @@ def test_init_sliding_tiny_dataset():
 def test_init_sliding_rejects_overlong_run():
     data = generate_linear(100, 3, noise_variance=1.0, seed=0)
     with pytest.raises(ValueError):
-        init_sliding(data, cfg(setting=SETTING_SLIDING, total_steps=71),
+        init_state(data, cfg(setting=SETTING_SLIDING, total_steps=71),
                      np.random.default_rng(0))
 
 
 def test_init_sampling_full_set():
     data = generate_linear(120, 3, noise_variance=1.0, seed=1)
-    st = init_sampling(data, cfg(), np.random.default_rng(0))
+    st = init_state(data, cfg(), np.random.default_rng(0))
     assert st.window_size == 120
     assert np.array_equal(st.targets, data.targets)
     # the engine works on a copy: stepping must not mutate the input
@@ -133,11 +132,36 @@ def test_init_state_dispatches_on_setting():
     assert b.window_size == 18
 
 
+def test_init_state_sampling_keeps_identity_order_and_draws_nothing():
+    # two rows are enough for a sampling run; only the first fit uses the rng
+    data = generate_linear(2, 1, noise_variance=1.0, seed=1)
+    c = cfg(model="ridge_regularized")
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    st = init_state(data, c, rng)
+    assert np.array_equal(st.item_indices, [0, 1])
+    assert st.reserve_remaining == 0
+    assert st.reserve_indices.size == 0
+    ref.permutation(2)  # the retrain split
+    assert rng.random() == ref.random()
+
+
+def test_init_state_sliding_keeps_its_checks():
+    with pytest.raises(ValueError, match="at least 10 rows"):
+        init_state(generate_linear(9, 2, noise_variance=1.0, seed=0),
+                   cfg(setting=SETTING_SLIDING, total_steps=1))
+    with pytest.raises(ValueError, match="window of 2 items"):
+        init_state(generate_linear(20, 2, noise_variance=1.0, seed=0),
+                   cfg(setting=SETTING_SLIDING, total_steps=1, window_fraction=0.1))
+    with pytest.raises(ValueError, match="exceeds the reserve of 70 items"):
+        init_state(generate_linear(100, 3, noise_variance=1.0, seed=0),
+                   cfg(setting=SETTING_SLIDING, total_steps=71))
+
+
 def test_init_deterministic_given_rng_seed():
     data = generate_linear(80, 3, noise_variance=1.0, seed=2)
     c = cfg(setting=SETTING_SLIDING, total_steps=40)
-    a = init_sliding(data, c, np.random.default_rng(42))
-    b = init_sliding(data, c, np.random.default_rng(42))
+    a = init_state(data, c, np.random.default_rng(42))
+    b = init_state(data, c, np.random.default_rng(42))
     assert np.array_equal(a.targets, b.targets)
     assert np.array_equal(a.model.weights, b.model.weights)
 
@@ -313,6 +337,34 @@ def test_run_collect_traces():
     first = rep.step_traces[0][0]
     assert first.step_t == 1
     assert first.residual == first.y_true - first.y_pred
+
+
+def test_run_many_matches_run_per_config_at_any_worker_count():
+    data = generate_linear(80, 3, noise_variance=1.0, seed=15)
+    configs = [cfg(total_steps=60, adherence_s=0.5, repeats=2, seed=4),
+               cfg(total_steps=60, adherence_s=2.0, repeats=3, seed=4)]
+    kappas = [0.1, 0.2]
+    serial = run_many(data, configs, None, kappas, workers=1)
+    pooled = run_many(data, configs, None, kappas, workers=2)
+    for config, a, b in zip(configs, serial, pooled):
+        alone = run(data, config, kappa_list=kappas)
+        assert a.repeats_aggregated == config.repeats
+        for name in alone.per_repeat:
+            assert np.array_equal(a.per_repeat[name], alone.per_repeat[name], equal_nan=True)
+            assert np.array_equal(b.per_repeat[name], alone.per_repeat[name], equal_nan=True)
+
+
+def test_run_many_returns_a_failed_config_as_its_exception():
+    # 20 training rows cannot fit 40 columns exactly; the penalized config still reports
+    wide = generate_linear(25, 40, noise_variance=1.0, seed=22)
+    bad = cfg(total_steps=5, repeats=2)
+    good = cfg(total_steps=5, repeats=1, model="ridge_regularized")
+    reports = run_many(wide, [bad, good], (), [0.1], workers=2)
+    assert isinstance(reports[0], ValueError)
+    assert "singular" in str(reports[0])
+    assert reports[1].repeats_aggregated == 1
+    with pytest.raises(ValueError, match="singular"):
+        run(wide, bad, probes=(), kappa_list=[0.1])
 
 
 def test_replace_config():

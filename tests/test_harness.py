@@ -1,13 +1,20 @@
 """Config parsing, run artifacts, manifest integrity, CLI exit codes."""
 
+import argparse
 import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loopsim
 from loopsim import cli
+from loopsim.engine import SETTING_SAMPLING, SETTING_SLIDING
 from loopsim.harness import (
+    EXPERIMENTS,
     ConfigError,
+    ExperimentConfig,
     IntegrityError,
     build_config,
     config_from_manifest,
@@ -119,6 +126,79 @@ def test_flat_dict_round_trips_through_build_config():
                                   adherence_grid="0,3", kappas="0.05,0.1"))
     again = build_config(cfg.to_flat_dict())
     assert again == cfg
+
+
+def _finite(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any config that build_config accepts, for every experiment."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    setting = draw(st.sampled_from((SETTING_SAMPLING, SETTING_SLIDING)))
+    kind = draw(st.sampled_from(("linear", "friedman1")))
+    ints = st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(tuple)
+    fractions = _finite(0.0, 1.0, exclude_min=True, exclude_max=True)
+    grid = st.lists(_finite(0.0, 1.0), min_size=1, max_size=4).map(tuple)
+    lo = draw(_finite(-1e6, 1e6))
+    text = st.text("abcxyz_/.0123456789", max_size=12)
+    return ExperimentConfig(
+        experiment=experiment,
+        dataset=draw(text),
+        kind=kind,
+        rows=draw(st.integers(2, 10**5)),
+        cols=draw(st.integers(5 if kind == "friedman1" else 1, 50)),
+        noise=draw(_finite(0.0, 1e6)),
+        data_seed=draw(st.integers(0, 2**32)),
+        setting=setting,
+        usage=draw(_finite(0.0, 1.0)),
+        adherence=draw(_finite(0.0, 1e3)),
+        steps=draw(st.integers(1, 10**6)),
+        retrain_period=draw(st.integers(1, 100)),
+        window_fraction=draw(st.none() | (
+            _finite(0.0, 1.0, exclude_min=True) if setting == SETTING_SLIDING
+            else st.just(1.0))),
+        model=draw(st.sampled_from(("sgd", "ridge_exact", "ridge_regularized"))),
+        regularization=draw(_finite(0.0, 1e3)),
+        sgd_iterations=draw(st.integers(1, 500)),
+        train_fraction=draw(fractions),
+        holdout_fraction=draw(fractions),
+        seed=draw(st.integers(0, 2**32)),
+        repeats=draw(st.integers(1, 50)),
+        probe_every=draw(st.none() | st.integers(1, 1000)),
+        probes=draw(st.none() | ints),
+        kappas=draw(st.none() | st.lists(_finite(1e-9, 1e3), min_size=1, max_size=4).map(tuple)),
+        usage_grid=draw(grid),
+        adherence_grid=draw(grid.map(lambda g: tuple(3.0 * v for v in g))),
+        segment=draw(st.none() | _finite(1e-3, 1e6).map(lambda w: (lo, lo + w)))
+        if experiment == "autonomy" else None,
+        psi=draw(st.just("linear") | _finite(1e-3, 1e3).map(lambda a: f"power:{a!r}")),
+        demo_variance=draw(_finite(1e-6, 1e6)),
+        t_list=draw(st.lists(st.integers(1, 1000), min_size=1, max_size=5).map(tuple)),
+        out_dir=draw(text),
+        workers=draw(st.integers(0, 8)),
+        collect_traces=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(experiment_configs())
+def test_flat_dict_round_trip_is_the_identity(cfg):
+    assert build_config(cfg.to_flat_dict()) == cfg
+
+
+def test_build_config_rejects_an_empty_list():
+    # "" means unset, so an empty probe list would come back as the default schedule
+    with pytest.raises(ConfigError, match="probes lists no values"):
+        build_config(raw_config(probes=","))
+
+
+def test_build_config_rejects_out_of_range_grid_values():
+    with pytest.raises(ConfigError, match="usage_p"):
+        build_config(raw_config(experiment="sweep", usage_grid="0,1.5"))
+    with pytest.raises(ConfigError, match="adherence_s"):
+        build_config(raw_config(experiment="sweep", adherence_grid="0,-1"))
 
 
 # -- execute artifacts ---------------------------------------------------
@@ -270,6 +350,42 @@ def test_cli_run_rejects_overlong_sliding_budget(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_out_of_range_grid_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "sweep", "--rows", "60", "--steps", "25",
+                     "--repeats", "1", "--usage-grid", "0,1.5", "--adherence-grid", "0,-1",
+                     "--out-dir", str(out)])
+    assert code == 2
+    assert "adherence_s must be nonnegative, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_from_manifest_refuses_another_tool_version(trace_run, tmp_path, capsys):
+    _cfg, result = trace_run
+    manifest = json.loads(result.manifest_path.read_text(encoding="utf-8"))
+    manifest["tool_version"] = loopsim.__version__ + ".dev1"
+    doctored = tmp_path / "manifest.json"
+    doctored.write_text(json.dumps(manifest), encoding="utf-8")
+    code = cli.main(["run", "--from-manifest", str(doctored),
+                     "--out-dir", str(tmp_path / "rerun")])
+    assert code == 2
+    assert "written by loopsim 0.1.0.dev1" in capsys.readouterr().err
+    assert not (tmp_path / "rerun").exists()
+
+
+def test_run_flags_are_exactly_the_config_fields():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        a.dest: a.option_strings for a in commands.choices["run"]._actions
+        if a.dest not in ("help", "config", "from_manifest")
+    }
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(options) == fields
+    for name, flags in options.items():
+        assert flags == ["--" + name.replace("_", "-")]
 
 
 def test_cli_report_round_trip(tmp_path, capsys):
