@@ -12,6 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# fewest sample points a point-density estimate accepts
+MIN_DENSITY_POINTS = 20
+
 
 class InsufficientSampleError(ValueError):
     """Raised when a query needs more sample points than are available."""
@@ -125,8 +128,10 @@ class EmpiricalDistribution:
         Needs at least 20 points. Returns the SPIKE sentinel for a
         constant sample (zero bandwidth), never infinity.
         """
-        if self.n < 20:
-            raise InsufficientSampleError(f"density needs N >= 20 points, got {self.n}")
+        if self.n < MIN_DENSITY_POINTS:
+            raise InsufficientSampleError(
+                f"density needs N >= {MIN_DENSITY_POINTS} points, got {self.n}"
+            )
         h = self.bandwidth()
         if h == 0.0:
             return SPIKE
@@ -140,8 +145,10 @@ class EmpiricalDistribution:
         count/(N*width) bin height linearly interpolated between bin
         centers. Secondary to the KDE; used to cross-validate it.
         """
-        if self.n < 20:
-            raise InsufficientSampleError(f"density needs N >= 20 points, got {self.n}")
+        if self.n < MIN_DENSITY_POINTS:
+            raise InsufficientSampleError(
+                f"density needs N >= {MIN_DENSITY_POINTS} points, got {self.n}"
+            )
         lo, hi = self._sample[0], self._sample[-1]
         if hi == lo:
             return SPIKE

@@ -12,7 +12,9 @@ and the model is refit on a schedule. Two update protocols are supported:
 
 ``run`` executes several independent repeats and collects their per-probe
 residual statistics into a DiagnosticsReport; ``run_many`` does the same
-for several configs through one task list.
+for several configs through one task list. A lane is one (config, repeat)
+pair: lanes of a task advance in lockstep, and SGD lanes share one batched
+fit per retrain.
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from loopsim.data import Dataset
-from loopsim.density import SPIKE, EmpiricalDistribution, SaturationError
+from loopsim.density import MIN_DENSITY_POINTS, SPIKE, EmpiricalDistribution, SaturationError
 from loopsim.diagnostics import DiagnosticsReport, normality_test
 from loopsim.regressors import (
     DEFAULT_RIDGE_PENALTY,
@@ -32,6 +34,7 @@ from loopsim.regressors import (
     TrainedModel,
     fit_ridge,
     fit_sgd,
+    fit_sgd_lanes,
     mse,
     predict,
 )
@@ -120,6 +123,33 @@ class LoopConfig:
         # (0.3 * 10, 0.3 * 2000, ...) still floor to the intended size
         return int(math.floor(self.resolved_window_fraction * n_rows + 1e-9))
 
+    def check_rows(self, n_rows: int, probed: bool = False) -> int:
+        """The active-set size on a dataset of n_rows; ValueError if the loop cannot run.
+
+        A sliding window needs 10 rows, a window of 3 items for the
+        retrain split, and a reserve that covers total_steps. A sampling
+        run needs 2 rows. With probed, the active set must also hold the
+        MIN_DENSITY_POINTS residuals that every probe's density estimate
+        reads.
+        """
+        w = self.window_size(n_rows)
+        if self.setting == SETTING_SLIDING:
+            if n_rows < 10:
+                raise ValueError(f"sliding window needs at least 10 rows, got {n_rows}")
+            if w < 3:
+                raise ValueError(f"window of {w} items cannot support the retrain split")
+            if self.total_steps > n_rows - w:
+                raise ValueError(
+                    f"total_steps {self.total_steps} exceeds the reserve of {n_rows - w} items"
+                )
+        elif n_rows < 2:
+            raise ValueError(f"sampling updates need at least 2 rows, got {n_rows}")
+        if probed and w < MIN_DENSITY_POINTS:
+            raise ValueError(
+                f"probes need an active set of at least {MIN_DENSITY_POINTS} items, got {w}"
+            )
+        return w
+
 
 def replace_config(config: LoopConfig, **changes) -> LoopConfig:
     """Copy a config with fields replaced; revalidates the result."""
@@ -175,51 +205,71 @@ class LoopState:
         return self.targets - predict(self.model, self.features)
 
 
-def _fit_model(config: LoopConfig, features, targets, rng) -> TrainedModel:
+def _attempt(fit, *args):
+    """fit(*args), or the exception it raised."""
+    try:
+        return fit(*args)
+    except Exception as exc:
+        return exc
+
+
+def _refit(states: list, config: LoopConfig) -> list:
+    """Refit every lane on a fresh split of its own active set.
+
+    Each lane draws its split permutation, then its SGD seed, from its own
+    rng, as a solo run does. The SGD lanes share one fit_sgd_lanes call;
+    should it raise, each lane is fitted alone. Returns per lane None, or
+    the exception that ended its refit.
+    """
+    splits = []
+    for state in states:
+        w = state.window_size
+        order = state.rng.permutation(w)
+        n_train = max(2, int(config.train_fraction * w + 1e-9))
+        n_hold = max(1, int(config.holdout_fraction * w + 1e-9))
+        splits.append((order[:n_train], order[w - n_hold :]))
+    xs = [state.features[train] for state, (train, _) in zip(states, splits)]
+    ys = [state.targets[train] for state, (train, _) in zip(states, splits)]
     if config.model == SOLVER_SGD:
-        seed = int(rng.integers(0, 2**63 - 1))
-        return fit_sgd(features, targets, max_iterations=config.sgd_iterations, seed=seed)
-    if config.model == SOLVER_RIDGE_EXACT:
-        return fit_ridge(features, targets, regularization=0.0)
-    return fit_ridge(features, targets, regularization=config.regularization)
+        seeds = [int(state.rng.integers(0, 2**63 - 1)) for state in states]
+        try:
+            models = fit_sgd_lanes(np.stack(xs), np.stack(ys), config.sgd_iterations, seeds)
+        except Exception:
+            models = [_attempt(fit_sgd, x, y, config.sgd_iterations, seed)
+                      for x, y, seed in zip(xs, ys, seeds)]
+    else:
+        penalty = 0.0 if config.model == SOLVER_RIDGE_EXACT else config.regularization
+        models = [_attempt(fit_ridge, x, y, penalty) for x, y in zip(xs, ys)]
+    errors = []
+    for state, model, (_, hold) in zip(states, models, splits):
+        if isinstance(model, Exception):
+            errors.append(model)
+            continue
+        state.model = model
+        state.sigma2 = mse(model, state.features[hold], state.targets[hold])
+        errors.append(None)
+    return errors
 
 
 def _retrain(state: LoopState, config: LoopConfig) -> None:
-    w = state.window_size
-    order = state.rng.permutation(w)
-    n_train = max(2, int(config.train_fraction * w + 1e-9))
-    n_hold = max(1, int(config.holdout_fraction * w + 1e-9))
-    train = order[:n_train]
-    hold = order[w - n_hold :]
-    state.model = _fit_model(config, state.features[train], state.targets[train], state.rng)
-    state.sigma2 = mse(state.model, state.features[hold], state.targets[hold])
+    (error,) = _refit([state], config)
+    if error is not None:
+        raise error
 
 
-def init_state(data: Dataset, config: LoopConfig, rng=None) -> LoopState:
+def init_state(data: Dataset, config: LoopConfig, rng=None, retrain: bool = True) -> LoopState:
     """Set up a run: the active set, the reserve, and the first fit.
 
     A sliding window samples its active set and permutes the other items
     into the reserve; total_steps must fit inside that reserve (the window
     never shrinks or grows). A sampling run works on the whole dataset in
     its own order with an empty reserve and draws nothing from rng. When
-    rng is omitted it is seeded from config.seed.
+    rng is omitted it is seeded from config.seed. With retrain=False the
+    first fit is left to the caller, which must make it before stepping.
     """
     m = data.n_rows
     sliding = config.setting == SETTING_SLIDING
-    if sliding:
-        if m < 10:
-            raise ValueError(f"sliding window needs at least 10 rows, got {m}")
-        w = config.window_size(m)
-        if w < 3:
-            raise ValueError(f"window of {w} items cannot support the retrain split")
-        if config.total_steps > m - w:
-            raise ValueError(
-                f"total_steps {config.total_steps} exceeds the reserve of {m - w} items"
-            )
-    elif m < 2:
-        raise ValueError(f"sampling updates need at least 2 rows, got {m}")
-    else:
-        w = m
+    w = config.check_rows(m)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     order = rng.permutation(m) if sliding else np.arange(m)
@@ -240,16 +290,18 @@ def init_state(data: Dataset, config: LoopConfig, rng=None) -> LoopState:
         replaced_count=0,
         rng=rng,
     )
-    _retrain(state, config)
+    if retrain:
+        _retrain(state, config)
     return state
 
 
-def step(state: LoopState, config: LoopConfig) -> StepTrace:
+def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> StepTrace:
     """Advance the loop by one item; retrains when the schedule says so.
 
     Raises LoopComplete once a sliding-window reserve is exhausted. The
     returned trace records the drawn item, the prediction, the sampled
-    replacement value, and whether it was used.
+    replacement value, and whether it was used. With retrain=False a
+    scheduled refit is left to the caller.
     """
     rng = state.rng
     sliding = config.setting == SETTING_SLIDING
@@ -282,7 +334,7 @@ def step(state: LoopState, config: LoopConfig) -> StepTrace:
         state.replaced_count += 1
     state.step_t += 1
     state.round_r = state.step_t // config.retrain_period
-    if state.step_t % config.retrain_period == 0:
+    if retrain and state.step_t % config.retrain_period == 0:
         _retrain(state, config)
     return StepTrace(state.step_t, item, y_true, y_pred, z, used, y_true - y_pred)
 
@@ -327,35 +379,75 @@ def _observe(state, i, res, masses, moments, l1_terms):
         res["normality_p"][i] = normality_test(resid)[1]
 
 
-def _run_repeat(data, config, child_seed, probe_steps, kappas, moment_orders, l1_terms, collect):
-    """One repeat: its per-probe statistics by per_repeat name, and its step traces."""
-    rng = np.random.default_rng(child_seed)
-    state = init_state(data, config, rng=rng)
+def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, moment_orders, l1_terms,
+               collect):
+    """Lanes in lockstep: per lane its per-probe statistics and step traces,
+    or the exception that ended it.
+
+    Lane i is repeat repeats[i] of configs[i], seeded by the child seed
+    seeds[i]. The configs differ at most in usage_p, adherence_s, seed and
+    repeats, so all lanes retrain and probe on the same steps. Each lane
+    goes through init_state and step with its own rng; _refit retrains the
+    live lanes together. A lane that raises leaves the lockstep, and its
+    exception's message is prefixed with its repeat and step.
+    """
+    schedule = configs[0]
     masses = [(f"mass@{kap:.10g}", kap) for kap in kappas]
     moments = [(f"moment_{order}", order) for order in moment_orders]
     names = ["spike", "psi", "stddev", "moment_l1", "moment_l1_truncated", "normality_p"]
     names += [name for name, _ in masses + moments]
-    res = {name: np.full(len(probe_steps), np.nan) for name in names}
-    traces = [] if collect else None
+    res = [{name: np.full(len(probe_steps), np.nan) for name in names} for _ in configs]
+    traces = [[] if collect else None for _ in configs]
     lookup = {t: i for i, t in enumerate(probe_steps)}
-    if 0 in lookup:
-        _observe(state, lookup[0], res, masses, moments, l1_terms)
-    for t in range(1, config.total_steps + 1):
-        trace = step(state, config)
+    out = [None] * len(configs)
+    states = [None] * len(configs)
+    live = list(range(len(configs)))
+    t = 0
+
+    def end(lane, exc):
+        nonlocal live
+        exc.args = (f"repeat {repeats[lane]}, step {t}: {exc}",)
+        out[lane] = exc
+        # rebinding leaves any loop over the old list undisturbed
+        live = [other for other in live if other != lane]
+
+    def each(action):
+        for lane in live:
+            try:
+                action(lane)
+            except Exception as exc:
+                end(lane, exc)
+
+    def start(lane):
+        rng = np.random.default_rng(seeds[lane])
+        states[lane] = init_state(data, configs[lane], rng, retrain=False)
+
+    def retrain():
+        for lane, error in zip(live, _refit([states[lane] for lane in live], schedule)):
+            if error is not None:
+                end(lane, error)
+
+    def advance(lane):
+        trace = step(states[lane], configs[lane], retrain=False)
         if collect:
-            traces.append(trace)
+            traces[lane].append(trace)
+
+    def observe(lane):
+        _observe(states[lane], lookup[t], res[lane], masses, moments, l1_terms)
+
+    each(start)
+    retrain()
+    if 0 in lookup:
+        each(observe)
+    for t in range(1, schedule.total_steps + 1):
+        each(advance)
+        if t % schedule.retrain_period == 0:
+            retrain()
         if t in lookup:
-            _observe(state, lookup[t], res, masses, moments, l1_terms)
-    return res, traces
-
-
-def _run_task(args):
-    # module-level for pickling into worker processes; a failed repeat
-    # comes back as its exception, so the other repeats still report
-    try:
-        return _run_repeat(*args)
-    except Exception as exc:
-        return exc
+            each(observe)
+    for lane in live:
+        out[lane] = (res[lane], traces[lane])
+    return out
 
 
 def derive_kappas(data: Dataset, config: LoopConfig) -> list[float]:
@@ -404,37 +496,63 @@ def run_many(
 ) -> list:
     """Run the repeats of several configs as one task list.
 
-    Every (config, repeat) pair is one task; with workers > 1 they share
-    one process pool. Returns one DiagnosticsReport per config, in order,
-    or the exception of the config's first failed repeat.
+    Each (config, repeat) pair is a lane. SGD lanes whose configs agree on
+    every field but usage_p, adherence_s, seed and repeats advance in
+    lockstep, split into `workers` tasks; every other lane is a task of
+    its own. With workers > 1 the tasks share one process pool. Returns
+    one DiagnosticsReport per config, in order, or an exception: the
+    config's row-count error (checked before any lane runs) or the
+    exception of its first failed repeat.
     """
     kappas = list(kappa_list)
     if any(k <= 0 for k in kappas):
         raise ValueError("interval half-widths must be positive")
     orders = [int(k) for k in moment_orders]
     probe_steps = [_resolve_probes(config, probes) for config in configs]
+    reports = [None] * len(configs)
+    groups = {}
+    for index, config in enumerate(configs):
+        try:
+            config.check_rows(data.n_rows, probed=True)
+        except ValueError as exc:
+            reports[index] = exc
+            continue
+        shared = replace_config(config, usage_p=0.0, adherence_s=0.0, seed=0, repeats=1)
+        for repeat, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.repeats)):
+            key = shared if config.model == SOLVER_SGD else (index, repeat)
+            groups.setdefault(key, []).append((index, repeat, child))
+    chunks = []
+    for lanes in groups.values():
+        n = max(1, min(workers, len(lanes)))
+        chunks += [lanes[k * len(lanes) // n : (k + 1) * len(lanes) // n] for k in range(n)]
     tasks = [
-        (data, config, child, steps, kappas, orders, moment_l1_terms, collect_traces)
-        for config, steps in zip(configs, probe_steps)
-        for child in np.random.SeedSequence(config.seed).spawn(config.repeats)
+        (data, [configs[i] for i, _, _ in chunk], [child for _, _, child in chunk],
+         [r for _, r, _ in chunk], probe_steps[chunk[0][0]], kappas, orders, moment_l1_terms,
+         collect_traces)
+        for chunk in chunks
     ]
     if workers > 1 and len(tasks) > 1:
         from concurrent import futures
 
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
+            outcomes = list(pool.map(_run_lanes, *zip(*tasks)))
     else:
-        results = [_run_task(task) for task in tasks]
-    reports = []
-    for config, steps in zip(configs, probe_steps):
-        mine, results = results[: config.repeats], results[config.repeats :]
+        outcomes = [_run_lanes(*task) for task in tasks]
+    results = {}
+    for chunk, outcome in zip(chunks, outcomes):
+        for (index, repeat, _), result in zip(chunk, outcome):
+            results[index, repeat] = result
+    for index, (config, steps) in enumerate(zip(configs, probe_steps)):
+        if reports[index] is not None:
+            continue
+        mine = [results[index, repeat] for repeat in range(config.repeats)]
         failed = [r for r in mine if isinstance(r, Exception)]
         if failed:
-            reports.append(failed[0])
+            reports[index] = failed[0]
             continue
         per_repeat = {name: np.stack([res[name] for res, _ in mine]) for name in mine[0][0]}
         spikes = per_repeat.pop("spike")
-        reports.append(DiagnosticsReport(
+        reports[index] = DiagnosticsReport(
             probe_steps=steps,
             kappa_list=kappas,
             moment_orders=orders,
@@ -442,5 +560,5 @@ def run_many(
             per_repeat=per_repeat,
             spike_counts=np.sum(spikes, axis=0),
             step_traces=[traces for _, traces in mine] if collect_traces else None,
-        ))
+        )
     return reports

@@ -431,17 +431,14 @@ def _resolve_dataset(config: ExperimentConfig) -> Dataset:
     return generate_friedman1(config.rows, config.cols, config.noise, config.data_seed)
 
 
-def _check_budget(config: ExperimentConfig, data: Dataset, loop_config: LoopConfig) -> None:
-    if loop_config.setting != SETTING_SLIDING:
-        return
-    w = loop_config.window_size(data.n_rows)
-    reserve = data.n_rows - w
-    if loop_config.total_steps > reserve:
-        raise ConfigError(
-            f"steps {loop_config.total_steps} exceeds the sliding reserve of {reserve} items"
-        )
-    if w < 3:
-        raise ConfigError(f"window of {w} items cannot support the retrain split")
+def _checked_loop_config(config: ExperimentConfig, data: Dataset) -> LoopConfig:
+    """The engine config, checked against the rows of the resolved dataset."""
+    loop_config = config.loop_config()
+    try:
+        loop_config.check_rows(data.n_rows, probed=True)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return loop_config
 
 
 def _summarize_report(report) -> dict:
@@ -462,8 +459,7 @@ def _summarize_report(report) -> dict:
 
 def _run_trace_experiment(config: ExperimentConfig, out_dir: Path) -> tuple[list, dict]:
     data = _resolve_dataset(config)
-    loop_config = config.loop_config()
-    _check_budget(config, data, loop_config)
+    loop_config = _checked_loop_config(config, data)
     report = run(
         data,
         loop_config,
@@ -511,8 +507,7 @@ def _run_trace_experiment(config: ExperimentConfig, out_dir: Path) -> tuple[list
 
 def _run_sweep(config: ExperimentConfig, out_dir: Path) -> tuple[list, dict]:
     data = _resolve_dataset(config)
-    loop_config = config.loop_config()
-    _check_budget(config, data, loop_config)
+    loop_config = _checked_loop_config(config, data)
     surface = stddev_surface(
         data,
         list(config.usage_grid),

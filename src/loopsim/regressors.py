@@ -68,34 +68,77 @@ def fit_sgd(
     Pass order is a fresh permutation per epoch from a generator seeded by
     ``seed``, so the fit is a deterministic function of (data, seed,
     max_iterations). Never raises on degenerate data; returns the
-    best-effort parameters instead.
+    best-effort parameters instead. This is the one-lane call of
+    ``fit_sgd_lanes``.
     """
     X, y = _as_xy(features, targets)
-    if X.shape[0] < 2:
+    return fit_sgd_lanes(X[None], y[None], max_iterations, [seed], eta0, decay)[0]
+
+
+def fit_sgd_lanes(
+    features,
+    targets,
+    max_iterations: int,
+    seeds,
+    eta0: float = SGD_ETA0,
+    decay: float = SGD_DECAY,
+) -> list[TrainedModel]:
+    """``fit_sgd`` on L independent lanes at once, bit for bit.
+
+    features is (L, n, d) and targets (L, n); lane l is fitted with
+    ``seeds[l]`` and returns exactly what ``fit_sgd`` returns on its slice.
+    The lanes share the update counter t, which is exact because every
+    lane makes n updates per epoch; a lane that stops early draws no
+    further permutations. Each lane's dot product goes through a stacked
+    matmul, which numpy evaluates with the same BLAS dot as ``xi @ w``
+    (einsum would not give the same bits).
+    """
+    X = np.asarray(features, dtype=float)
+    Y = np.asarray(targets, dtype=float)
+    if X.ndim != 3:
+        raise ValueError("features must be an (L, n, d) stack")
+    if Y.shape != X.shape[:2]:
+        raise ValueError(f"targets shape {Y.shape} does not match {X.shape[:2]}")
+    lanes, m, d = X.shape
+    if len(seeds) != lanes:
+        raise ValueError(f"{len(seeds)} seeds for {lanes} lanes")
+    if m < 2:
         raise ValueError("need at least 2 training rows")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    rng = np.random.default_rng(seed)
-    m, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    W = np.zeros((lanes, d))
+    B = np.zeros(lanes)
+    epochs = np.zeros(lanes, dtype=int)
+    live = np.arange(lanes)
     t = 0
-    epochs = 0
     for _ in range(max_iterations):
-        order = rng.permutation(m)
-        w_prev, b_prev = w.copy(), b
-        for i in order:
+        orders = np.stack([rngs[lane].permutation(m) for lane in live])
+        # (n, L, d) and (n, L): row k holds every live lane's k-th sample
+        Xe = X[live[:, None], orders].transpose(1, 0, 2)
+        Ye = Y[live[:, None], orders].T
+        w, b = W[live], B[live]
+        w_prev, b_prev = w.copy(), b.copy()
+        for xi, yi in zip(Xe, Ye):
             eta = eta0 / (1.0 + decay * t)
-            xi = X[i]
-            err = xi @ w + b - y[i]
-            w -= eta * err * xi
-            b -= eta * err
+            err = (xi[:, None, :] @ w[:, :, None])[:, 0, 0] + b - yi
+            step = eta * err
+            w -= step[:, None] * xi
+            b -= step
             t += 1
-        epochs += 1
-        # stop early once a full pass no longer moves the parameters
-        if max(np.max(np.abs(w - w_prev)), abs(b - b_prev)) < 1e-12:
+        W[live], B[live] = w, b
+        epochs[live] += 1
+        # stop a lane once a full pass no longer moves its parameters; the
+        # where() keeps Python's max(), which skips a NaN second argument
+        dw = np.max(np.abs(w - w_prev), axis=1)
+        db = np.abs(b - b_prev)
+        live = live[~(np.where(db > dw, db, dw) < 1e-12)]
+        if live.size == 0:
             break
-    return TrainedModel(w, float(b), SOLVER_SGD, 0.0, epochs)
+    return [
+        TrainedModel(W[lane].copy(), float(B[lane]), SOLVER_SGD, 0.0, int(epochs[lane]))
+        for lane in range(lanes)
+    ]
 
 
 def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:

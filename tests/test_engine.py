@@ -1,8 +1,11 @@
 """Loop engine: config validation, protocol mechanics, determinism."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from loopsim import engine
 from loopsim.data import generate_linear
 from loopsim.engine import (
     SETTING_SAMPLING,
@@ -155,6 +158,20 @@ def test_init_state_sliding_keeps_its_checks():
     with pytest.raises(ValueError, match="exceeds the reserve of 70 items"):
         init_state(generate_linear(100, 3, noise_variance=1.0, seed=0),
                    cfg(setting=SETTING_SLIDING, total_steps=71))
+
+
+def test_check_rows_owns_the_row_rules():
+    sliding = cfg(setting=SETTING_SLIDING, total_steps=1)
+    assert sliding.check_rows(100) == 30
+    with pytest.raises(ValueError, match="at least 10 rows, got 9"):
+        sliding.check_rows(9)
+    # a window of 18 runs, but cannot be probed
+    assert sliding.check_rows(60) == 18
+    with pytest.raises(ValueError, match="at least 20 items, got 18"):
+        sliding.check_rows(60, probed=True)
+    assert cfg().check_rows(20, probed=True) == 20
+    with pytest.raises(ValueError, match="at least 2 rows, got 1"):
+        cfg().check_rows(1)
 
 
 def test_init_deterministic_given_rng_seed():
@@ -365,6 +382,82 @@ def test_run_many_returns_a_failed_config_as_its_exception():
     assert reports[1].repeats_aggregated == 1
     with pytest.raises(ValueError, match="singular"):
         run(wide, bad, probes=(), kappa_list=[0.1])
+
+
+def test_run_many_returns_a_too_small_active_set_as_its_exception():
+    data = generate_linear(60, 3, noise_variance=1.0, seed=23)
+    small = cfg(setting=SETTING_SLIDING, total_steps=5, repeats=1)
+    reports = run_many(data, [small, cfg(total_steps=5, repeats=1)], (), [0.1])
+    assert isinstance(reports[0], ValueError)
+    assert "at least 20 items, got 18" in str(reports[0])
+    assert reports[1].repeats_aggregated == 1
+
+
+def _sgd_cells():
+    """Three SGD sliding configs that share one lockstep task."""
+    data = generate_linear(120, 3, noise_variance=1.0, seed=16)
+    base = cfg(setting=SETTING_SLIDING, total_steps=60, model="sgd", sgd_iterations=8,
+               retrain_period=5, probe_every=10, repeats=2)
+    cells = ((1.0, 0.0, 5), (0.5, 2.0, 5), (0.8, 1.0, 6))
+    return data, [replace_config(base, usage_p=p, adherence_s=s, seed=seed)
+                  for p, s, seed in cells]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_many_sgd_lanes_equal_a_hand_written_loop(workers):
+    data, configs = _sgd_cells()
+    reports = run_many(data, configs, None, [0.1], workers=workers)
+    for config, report in zip(configs, reports):
+        children = np.random.SeedSequence(config.seed).spawn(config.repeats)
+        for repeat, child in enumerate(children):
+            state = init_state(data, config, np.random.default_rng(child))
+            stddev = [np.std(state.residuals())]
+            for t in range(1, config.total_steps + 1):
+                step(state, config)
+                if t % 10 == 0:
+                    stddev.append(np.std(state.residuals()))
+            assert report.per_repeat["stddev"][repeat].tobytes() == np.array(stddev).tobytes()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patched engine only when forked")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_sgd_lane_leaves_its_chunk_mates_alone(workers, monkeypatch):
+    data, configs = _sgd_cells()
+    solo = run(data, configs[0], kappa_list=[0.1])
+    # the SGD seed of the first fit of configs[2], repeat 1: its rng first
+    # permutes the rows, then draws the retrain split, then the seed
+    rng = np.random.default_rng(np.random.SeedSequence(configs[2].seed).spawn(2)[1])
+    rng.permutation(data.n_rows)
+    rng.permutation(36)
+    poisoned = int(rng.integers(0, 2**63 - 1))
+    real_step, real_fit_sgd = engine.step, engine.fit_sgd
+
+    def flaky_step(state, config, retrain=True):
+        if config.adherence_s == 2.0 and state.step_t == 32:
+            raise FloatingPointError("boom")
+        return real_step(state, config, retrain)
+
+    def broken_batch(*args, **kwargs):
+        raise MemoryError("no batch today")
+
+    def flaky_fit_sgd(features, targets, max_iterations, seed):
+        if seed == poisoned:
+            raise ArithmeticError("bad lane")
+        return real_fit_sgd(features, targets, max_iterations, seed)
+
+    monkeypatch.setattr(engine, "step", flaky_step)
+    monkeypatch.setattr(engine, "fit_sgd_lanes", broken_batch)
+    monkeypatch.setattr(engine, "fit_sgd", flaky_fit_sgd)
+    reports = run_many(data, configs, None, [0.1], workers=workers)
+    assert isinstance(reports[1], FloatingPointError)
+    assert str(reports[1]) == "repeat 0, step 33: boom"
+    assert isinstance(reports[2], ArithmeticError)
+    assert str(reports[2]) == "repeat 1, step 0: bad lane"
+    # the lanes fitted alone after the batch failed report what a solo run does
+    for name in solo.per_repeat:
+        assert np.array_equal(reports[0].per_repeat[name], solo.per_repeat[name],
+                              equal_nan=True), name
 
 
 def test_replace_config():

@@ -352,6 +352,17 @@ def test_cli_run_rejects_overlong_sliding_budget(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_too_few_rows_as_a_config_error(tmp_path, capsys):
+    code = cli.main(["run", "--experiment", "density_trace", "--rows", "10", "--cols", "2",
+                     "--steps", "5", "--repeats", "1", "--out-dir", str(tmp_path / "a")])
+    assert code == 2
+    assert "probes need an active set of at least 20 items, got 10" in capsys.readouterr().err
+    code = cli.main(["run", "--experiment", "density_trace", "--setting", "sliding",
+                     "--rows", "9", "--steps", "1", "--out-dir", str(tmp_path / "b")])
+    assert code == 2
+    assert "sliding window needs at least 10 rows, got 9" in capsys.readouterr().err
+
+
 def test_cli_run_rejects_out_of_range_grid_before_running(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", "--experiment", "sweep", "--rows", "60", "--steps", "25",

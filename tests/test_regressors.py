@@ -1,9 +1,16 @@
 """Solvers: frozen hand examples, optimality checks, robustness."""
 
+import warnings
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsim.regressors import (
+    SGD_DECAY,
+    SGD_ETA0,
     SOLVER_HUBER_LINE,
     SOLVER_RIDGE_EXACT,
     SOLVER_RIDGE_REGULARIZED,
@@ -12,6 +19,7 @@ from loopsim.regressors import (
     fit_huber_line,
     fit_ridge,
     fit_sgd,
+    fit_sgd_lanes,
     mse,
     predict,
 )
@@ -150,3 +158,81 @@ def test_fit_rejects_mismatched_lengths():
         fit_ridge(np.zeros((3, 2)), np.zeros(4), 0.1)
     with pytest.raises(ValueError):
         fit_sgd(np.zeros((3, 2)), np.zeros(4))
+
+
+def _sgd_reference(X, y, max_iterations, seed):
+    """The per-sample SGD loop written out one sample at a time."""
+    rng = np.random.default_rng(seed)
+    w, b, t, epochs = np.zeros(X.shape[1]), 0.0, 0, 0
+    for _ in range(max_iterations):
+        order = rng.permutation(X.shape[0])
+        w_prev, b_prev = w.copy(), b
+        for i in order:
+            eta = SGD_ETA0 / (1.0 + SGD_DECAY * t)
+            err = X[i] @ w + b - y[i]
+            w -= eta * err * X[i]
+            b -= eta * err
+            t += 1
+        epochs += 1
+        if max(np.max(np.abs(w - w_prev)), abs(b - b_prev)) < 1e-12:
+            break
+    return w, float(b), epochs
+
+
+def _bits(model):
+    return model.weights.tobytes(), np.float64(model.intercept).tobytes(), model.iterations_used
+
+
+@st.composite
+def sgd_lanes(draw):
+    """An (L, n, d) stack whose lanes stop on different epochs or hold nonfinite values."""
+    lanes, n, d = draw(st.integers(1, 5)), draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    any_float = st.floats(allow_nan=True, allow_infinity=True)
+    X = np.empty((lanes, n, d))
+    Y = np.empty((lanes, n))
+    for lane in range(lanes):
+        kind = draw(st.sampled_from(("scaled", "zero_targets", "any")))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        scale = 10.0 ** draw(st.integers(-3, 200)) if kind == "scaled" else 1.0
+        X[lane] = rng.normal(size=(n, d)) * scale
+        Y[lane] = 0.0 if kind == "zero_targets" else rng.normal(size=n) * scale
+        if kind == "any":
+            X[lane] = draw(hnp.arrays(float, (n, d), elements=any_float))
+            Y[lane] = draw(hnp.arrays(float, n, elements=any_float))
+    seeds = draw(st.lists(st.integers(0, 2**63 - 1), min_size=lanes, max_size=lanes))
+    return X, Y, seeds, draw(st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sgd_lanes())
+def test_sgd_lanes_equal_separate_fits_bit_for_bit(case):
+    X, Y, seeds, iterations = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        lanes = fit_sgd_lanes(X, Y, iterations, seeds)
+        for lane, model in enumerate(lanes):
+            alone = fit_sgd(X[lane], Y[lane], iterations, seeds[lane])
+            assert _bits(model) == _bits(alone)
+            w, b, epochs = _sgd_reference(X[lane], Y[lane], iterations, seeds[lane])
+            assert _bits(model) == (w.tobytes(), np.float64(b).tobytes(), epochs)
+
+
+def test_sgd_lanes_stop_on_their_own_epoch():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(3, 30, 2))
+    Y = rng.normal(size=(3, 30))
+    Y[1] = 0.0  # nothing to learn: the first pass leaves the parameters at 0
+    models = fit_sgd_lanes(X, Y, 40, [1, 2, 3])
+    assert models[1].iterations_used == 1
+    assert models[0].iterations_used == models[2].iterations_used == 40
+    for lane in (0, 2):
+        assert _bits(models[lane]) == _bits(fit_sgd(X[lane], Y[lane], 40, lane + 1))
+
+
+def test_sgd_lanes_reject_bad_shapes():
+    with pytest.raises(ValueError, match="stack"):
+        fit_sgd_lanes(np.zeros((3, 2)), np.zeros(3), 5, [0])
+    with pytest.raises(ValueError, match="targets"):
+        fit_sgd_lanes(np.zeros((2, 3, 2)), np.zeros((2, 4)), 5, [0, 1])
+    with pytest.raises(ValueError, match="seeds"):
+        fit_sgd_lanes(np.zeros((2, 3, 2)), np.zeros((2, 3)), 5, [0])
