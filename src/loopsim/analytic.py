@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 QUAD_EPSABS = 1e-8
 QUAD_EPSREL = 1e-10
@@ -167,6 +166,9 @@ def transformed_support(amap: AnalyticMap, t: int) -> tuple:
 
 
 def _quad(fn, lo, hi, points=None) -> float:
+    # imported here: only quadrature needs scipy.integrate, and the run path never does
+    from scipy.integrate import quad
+
     if lo >= hi:
         return 0.0
     pts = None

@@ -75,6 +75,22 @@ def dkw_epsilon(alpha: float, n: int) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
+def spread(values) -> float:
+    """np.std of the values, finite and nonzero wherever the true value is.
+
+    Where the squared deviations leave the float range (an overflow past
+    about 1.3e154, or an underflow of unequal values to 0), the values are
+    scaled by a power of two before the plain std, so every other result
+    keeps its bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(values))
+        if not math.isfinite(sd) or (sd == 0.0 and np.ptp(values) > 0):
+            scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(values))))[1] - 1)
+            sd = scale * float(np.std(values / scale))
+    return sd
+
+
 class EmpiricalDistribution:
     """Immutable sorted sample with distribution queries.
 
@@ -116,11 +132,11 @@ class EmpiricalDistribution:
         Falls back to the standard deviation alone when the IQR collapses
         to zero on a non-constant sample.
         """
-        sd = float(np.std(self._sample))
+        sd = spread(self._sample)
         q75, q25 = np.percentile(self._sample, [75, 25])
         iqr = q75 - q25
-        spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-        return 0.9 * spread * self.n ** (-0.2)
+        scale = min(sd, iqr / 1.34) if iqr > 0 else sd
+        return 0.9 * scale * self.n ** (-0.2)
 
     def density_at(self, x: float):
         """Gaussian-kernel density estimate at a point.

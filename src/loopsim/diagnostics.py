@@ -10,7 +10,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from loopsim.density import InsufficientSampleError
 from loopsim.regressors import fit_huber_line
@@ -117,12 +117,46 @@ def normality_test(sample) -> tuple[float, float]:
     Combines the skewness and kurtosis normal transforms into a K^2
     statistic referred to chi-square with 2 degrees of freedom. Needs at
     least 20 points for the transforms to be calibrated.
+
+    A port of scipy.stats.normaltest (skewtest + kurtosistest) that keeps
+    scipy's order of operations, so both values match it bit for bit.
+    Constant samples, and samples whose fourth powers leave the float
+    range (scales above about 1e75 or below 1e-75), give NaN as in scipy.
     """
     arr = np.asarray(sample, dtype=float)
     if arr.ndim != 1 or arr.size < 20:
         raise InsufficientSampleError(f"normality test needs >= 20 points, got {arr.size}")
-    statistic, pvalue = stats.normaltest(arr)
-    return float(statistic), float(pvalue)
+    # n is a 0-d array as in scipy, so every power below takes numpy's path, not Python's
+    n = np.asarray(float(arr.size))
+    with np.errstate(all="ignore"):
+        mean = np.mean(arr, keepdims=True)
+        d = arr - mean
+        d2 = d**2
+        m2, m3, m4 = np.mean(d2), np.mean(d2 * d), np.mean(d2**2)
+        zero = m2 <= (np.finfo(float).eps * mean[0]) ** 2
+        # skewtest: the skewness m3 / m2^1.5 through D'Agostino's transform
+        y = (np.nan if zero else m3 / m2**1.5) * np.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
+        beta2 = (3.0 * (n**2 + 27*n - 70) * (n+1) * (n+3)
+                 / ((n-2.0) * (n+5) * (n+7) * (n+9)))
+        w2 = -1 + np.sqrt(2 * (beta2 - 1))
+        delta = 1 / np.sqrt(0.5 * np.log(w2))
+        alpha = np.sqrt(2.0 / (w2 - 1))
+        y = 1.0 if y == 0 else y
+        z_skew = delta * np.log(y / alpha + np.sqrt((y / alpha)**2 + 1))
+        # kurtosistest: the kurtosis m4 / m2^2 through Anscombe and Glynn's transform
+        b2 = np.nan if zero else m4 / m2**2.0
+        e = 3.0*(n-1) / (n+1)
+        varb2 = 24.0*n*(n-2)*(n-3) / ((n+1)*(n+1.)*(n+3)*(n+5))
+        x = (b2-e) / varb2**0.5
+        sqrtbeta1 = 6.0*(n*n-5*n+2)/((n+7)*(n+9)) * ((6.0*(n+3)*(n+5))
+                                                     / (n*(n-2)*(n-3)))**0.5
+        a = 6.0 + 8.0/sqrtbeta1 * (2.0/sqrtbeta1 + (1+4.0/(sqrtbeta1**2))**0.5)
+        term1 = 1 - 2/(9.0*a)
+        denom = 1 + x * (2/(a-4.0))**0.5
+        term2 = np.nan if denom == 0 else np.sign(denom) * ((1-2.0/a)/np.abs(denom))**(1/3)
+        z_kurt = (term1 - term2) / (2/(9.0*a))**0.5
+        statistic = z_skew*z_skew + z_kurt*z_kurt
+    return float(statistic), float(special.chdtrc(2.0, statistic))
 
 
 def breusch_pagan(residuals, regressor) -> float:
@@ -149,8 +183,10 @@ def breusch_pagan(residuals, regressor) -> float:
     slope, intercept = np.polyfit(x, e2, 1)
     resid_aux = e2 - (slope * x + intercept)
     r2_aux = 1.0 - float(np.sum(resid_aux**2)) / ss_tot
-    lm = n * r2_aux
-    return float(stats.chi2.sf(lm, df=1))
+    # rounding can leave R^2 a hair below 0, where chdtrc gives NaN and the
+    # chi-square survival function 1
+    lm = max(n * r2_aux, 0.0)
+    return float(special.chdtrc(1.0, lm))
 
 
 def autonomy_fit(steps, psi_values, segment=None, delta: float = 1.35) -> AutonomyFit:

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from loopsim.data import Dataset
-from loopsim.density import MIN_DENSITY_POINTS, SPIKE, EmpiricalDistribution, SaturationError
+from loopsim.density import (
+    MIN_DENSITY_POINTS,
+    SPIKE,
+    EmpiricalDistribution,
+    SaturationError,
+    spread,
+)
 from loopsim.diagnostics import DiagnosticsReport, normality_test
 from loopsim.regressors import (
     DEFAULT_RIDGE_PENALTY,
@@ -364,7 +370,7 @@ def _observe(state, i, res, masses, moments, l1_terms):
     d0 = dist.density_at(0.0)
     res["spike"][i] = d0 is SPIKE
     res["psi"][i] = np.nan if d0 is SPIKE else float(d0)
-    res["stddev"][i] = float(np.std(resid))
+    res["stddev"][i] = spread(resid)
     for name, kappa in masses:
         res[name][i] = dist.interval_mass(kappa)
     for name, order in moments:

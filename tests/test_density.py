@@ -13,6 +13,7 @@ from loopsim.density import (
     InsufficientSampleError,
     SaturationError,
     dkw_epsilon,
+    spread,
 )
 
 
@@ -68,6 +69,30 @@ def test_silverman_bandwidth_hand_computation():
     q75, q25 = np.percentile(sample, [75, 25])
     want = 0.9 * min(sd, (q75 - q25) / 1.34) * 32 ** (-0.2)
     assert d.bandwidth() == pytest.approx(want, rel=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 500), st.integers(-150, 150))
+@settings(max_examples=100, deadline=None)
+def test_spread_keeps_the_plain_std_bits_where_it_is_finite_and_nonzero(seed, n, exponent):
+    x = np.random.default_rng(seed).standard_normal(n) * 10.0**exponent
+    with np.errstate(over="ignore", under="ignore"):
+        plain = float(np.std(x))
+    if math.isfinite(plain) and plain > 0:
+        assert spread(x) == plain
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170, 1e-300])
+def test_spread_survives_squares_outside_the_float_range(scale):
+    # the plain std overflows to inf above about 1.3e154 and underflows to 0
+    # below about 1e-162; a power-of-two rescale keeps both representable
+    x = np.random.default_rng(0).standard_normal(600)
+    assert spread(x * scale) == pytest.approx(np.std(x) * scale, rel=1e-14)
+
+
+def test_bandwidth_of_a_tiny_unequal_sample_is_no_spike():
+    d = EmpiricalDistribution(np.random.default_rng(3).standard_normal(200) * 1e-300)
+    assert d.bandwidth() > 0
+    assert d.density_at(0.0) is not SPIKE
 
 
 def test_density_at_matches_known_gaussian():

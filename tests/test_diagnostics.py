@@ -1,11 +1,13 @@
 """Statistical diagnostics: calibration oracles, fits, the surface."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from loopsim.data import generate_linear
 from loopsim.density import InsufficientSampleError
@@ -59,6 +61,54 @@ def test_normality_statistic_affine_invariant(a, b):
     assert abs(k0 - k1) < 1e-8
 
 
+def _bits(value) -> bytes:
+    """The bytes of a float, with every NaN folded into one pattern."""
+    return np.float64(np.nan if math.isnan(value) else value).tobytes()
+
+
+def _normality_sample(seed, n, kind, exponent, shifted):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        x = rng.standard_normal(n)
+    elif kind == "heavy":
+        x = rng.standard_t(1.5, n)
+    elif kind == "skewed":
+        x = rng.exponential(size=n)
+    elif kind == "near_constant":
+        # +-1 ulp of 1 trips scipy's zero-variance rule, +-2 to 4 ulps do not
+        width = 1 + seed % 4
+        x = 1.0 + np.finfo(float).eps * rng.integers(-width, width + 1, n)
+    else:  # "nan": one missing value
+        x = rng.standard_normal(n)
+        x[seed % n] = np.nan
+    return (x + 3.0 * shifted) * 10.0**exponent
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 3000),
+    kind=st.sampled_from(["normal", "heavy", "skewed", "near_constant", "nan"]),
+    exponent=st.one_of(st.integers(-75, 75), st.integers(-300, 300)),
+    shifted=st.booleans(),
+)
+@example(seed=1, n=600, kind="normal", exponent=-300, shifted=False)
+@example(seed=1, n=600, kind="normal", exponent=300, shifted=True)
+@example(seed=4, n=20, kind="near_constant", exponent=0, shifted=False)
+@example(seed=5, n=600, kind="near_constant", exponent=-40, shifted=False)
+@example(seed=3, n=3000, kind="heavy", exponent=70, shifted=False)
+@settings(max_examples=1000, deadline=None)
+def test_normality_matches_scipy_bit_for_bit(seed, n, kind, exponent, shifted):
+    """The numpy K^2 and its p-value equal scipy.stats.normaltest bit for
+    bit, NaN where scipy gives NaN."""
+    x = _normality_sample(seed, n, kind, exponent, shifted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's precision-loss warning
+        want = stats.normaltest(x)
+    got = normality_test(x)
+    assert _bits(got[0]) == _bits(float(want.statistic))
+    assert _bits(got[1]) == _bits(float(want.pvalue))
+
+
 # -- homoscedasticity test ---------------------------------------------
 
 def test_bp_null_calibration():
@@ -98,6 +148,50 @@ def test_bp_rejects_constant_regressor():
 def test_bp_rejects_short_input():
     with pytest.raises(ValueError):
         breusch_pagan(np.zeros(5), np.arange(5.0))
+
+
+def _breusch_pagan_chi2_sf(e, x) -> float:
+    """breusch_pagan as written against scipy.stats.chi2.sf."""
+    e2 = e * e
+    ss_tot = float(np.sum((e2 - e2.mean()) ** 2))
+    if ss_tot == 0.0:
+        return 1.0
+    slope, intercept = np.polyfit(x, e2, 1)
+    r2_aux = 1.0 - float(np.sum((e2 - (slope * x + intercept)) ** 2)) / ss_tot
+    return float(stats.chi2.sf(e.size * r2_aux, df=1))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(10, 600),
+    kind=st.sampled_from(["null", "trend", "mirrored"]),
+    exponent=st.integers(-70, 70),
+    spaced=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_bp_matches_chi2_sf_bit_for_bit(seed, n, kind, exponent, spaced):
+    """chdtrc gives the bits of chi2.sf, also where rounding leaves the LM
+    statistic a hair below 0 (a mirrored sample against an even grid)."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n, dtype=float) if spaced else rng.uniform(0, 10, n)
+    if kind == "null":
+        e = rng.normal(size=n)
+    elif kind == "trend":
+        e = rng.normal(size=n) * (0.1 + np.arange(n) / n)
+    else:
+        half = rng.normal(size=(n + 1) // 2)
+        e = np.concatenate([half, half[: n // 2][::-1]])
+    e = e * 10.0**exponent
+    assert _bits(breusch_pagan(e, x)) == _bits(_breusch_pagan_chi2_sf(e, x))
+
+
+def test_bp_rounded_negative_lm_is_homoscedastic():
+    # mirrored residuals on an even grid: the true R^2 is 0, and rounding
+    # leaves it at -2.2e-16 on this seed, where chdtrc alone gives NaN
+    rng = np.random.default_rng(0)
+    half = rng.normal(size=48)
+    e = np.concatenate([half, half[:47][::-1]])
+    assert breusch_pagan(e, np.arange(95.0)) == 1.0
 
 
 # -- autonomy fit ------------------------------------------------------

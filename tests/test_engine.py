@@ -1,9 +1,13 @@
 """Loop engine: config validation, protocol mechanics, determinism."""
 
+import math
 import multiprocessing
+import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from loopsim import engine
 from loopsim.data import generate_linear
@@ -466,3 +470,45 @@ def test_replace_config():
     assert d.total_steps == 50
     assert d.adherence_s == 2.0
     assert d.setting == c.setting
+
+
+# -- probes at float extremes ------------------------------------------
+
+def _probe(resid) -> dict:
+    """One _observe call on a fixed residual sample: its statistics by name."""
+    masses = [("mass@1", 1.0)]
+    moments = [(f"moment_{k}", k) for k in engine.DEFAULT_MOMENT_ORDERS]
+    names = ["spike", "psi", "stddev", "moment_l1", "moment_l1_truncated", "normality_p"]
+    res = {name: np.full(1, np.nan) for name in names + [n for n, _ in masses + moments]}
+    state = types.SimpleNamespace(residuals=lambda: resid)
+    engine._observe(state, 0, res, masses, moments, engine.DEFAULT_MOMENT_L1_TERMS)
+    return {name: column[0] for name, column in res.items()}
+
+
+@pytest.mark.parametrize("scale, plain", [(1e160, math.inf), (1e-300, 0.0)])
+def test_stddev_probe_survives_squares_outside_the_float_range(scale, plain):
+    x = np.random.default_rng(0).standard_normal(600)
+    with np.errstate(over="ignore"):
+        assert float(np.std(x * scale)) == plain  # what the probe used to write
+    assert _probe(x * scale)["stddev"] == pytest.approx(np.std(x) * scale, rel=1e-14)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 600),
+    exponent=st.integers(-300, 300),
+    heavy=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_probe_does_not_raise_on_finite_samples_at_float_extremes(seed, n, exponent, heavy):
+    """stddev stays finite and positive at any scale. normality_p is NaN
+    beyond about 1e+-75, where the fourth powers of the deviations leave
+    the float range; scipy.stats.normaltest gives NaN there too."""
+    rng = np.random.default_rng(seed)
+    resid = (rng.standard_t(2, n) if heavy else rng.standard_normal(n)) * 10.0**exponent
+    assume(np.all(np.isfinite(resid)))
+    stats = _probe(resid)
+    assert math.isfinite(stats["stddev"]) and stats["stddev"] > 0
+    assert not stats["spike"]
+    p = stats["normality_p"]
+    assert math.isnan(p) or 0.0 <= p <= 1.0

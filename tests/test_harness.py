@@ -3,6 +3,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -371,6 +375,25 @@ def test_cli_run_rejects_out_of_range_grid_before_running(tmp_path, capsys):
     assert code == 2
     assert "adherence_s must be nonnegative, got -1.0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_run_path_loads_neither_scipy_stats_nor_integrate(tmp_path):
+    """A fresh interpreter that imports loopsim.cli loads no scipy.stats and
+    no scipy.integrate; analytic_demo then loads scipy.integrate on first use."""
+    script = (
+        "import sys; from loopsim import cli\n"
+        "heavy = ('scipy.stats', 'scipy.integrate')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        f"code = cli.main(['run', '--experiment', 'analytic_demo', '--out-dir', {str(tmp_path)!r}])\n"
+        "print(code, [m for m in heavy if m in sys.modules])\n"
+    )
+    src = str(Path(loopsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[0] == "[]"
+    assert out[-1] == "0 ['scipy.integrate']"
+    assert (tmp_path / "analytic.csv").read_text().startswith("t,stat_name,value\n1,psi,2\n")
 
 
 def test_cli_from_manifest_refuses_another_tool_version(trace_run, tmp_path, capsys):
