@@ -5,6 +5,7 @@ normality testing, the robust log-linear autonomy fit, and the
 Breusch-Pagan homoscedasticity check on fit residuals.
 """
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -21,10 +22,11 @@ class DiagnosticsReport:
     """Per-probe statistics of a repeated-learning run.
 
     ``per_repeat`` keeps the raw (repeats x probes) matrices keyed by stat
-    name ("psi", "stddev", "normality_p", "moment_l1",
-    "moment_l1_truncated", "moment_<k>", "mass@<kappa>"); ``mean`` and
-    ``std`` reduce them over repeats, and the trace properties are their
-    means.
+    name: always "psi", "stddev" and "mass@<kappa>", and "normality_p",
+    "moment_l1", "moment_l1_truncated" and "moment_<k>" where the probes
+    computed them (``moment_orders`` is empty when they skipped the raw
+    moments). ``mean`` and ``std`` reduce them over repeats, and the trace
+    properties are their means.
     """
 
     probe_steps: list
@@ -159,13 +161,39 @@ def normality_test(sample) -> tuple[float, float]:
     return float(statistic), float(special.chdtrc(2.0, statistic))
 
 
+# below this, subnormal squared deviations can reach the last bits of ss_tot
+_BP_SS_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _bp_lm(e, x) -> float:
+    """n * R^2 of the auxiliary OLS of e**2 on x, clamped at 0; NaN where
+    e**2 carries no variance, or the sum of squared deviations of e**2
+    overflows or comes within 2**52 of the subnormal range."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        e2 = e * e
+        ss_tot = float(np.sum((e2 - e2.mean()) ** 2))
+    if not _BP_SS_FLOOR <= ss_tot < math.inf:
+        return math.nan
+    slope, intercept = np.polyfit(x, e2, 1)
+    resid_aux = e2 - (slope * x + intercept)
+    r2_aux = 1.0 - float(np.sum(resid_aux**2)) / ss_tot
+    # rounding can leave R^2 a hair below 0, where chdtrc gives NaN and the
+    # chi-square survival function 1
+    return max(e.size * r2_aux, 0.0)
+
+
 def breusch_pagan(residuals, regressor) -> float:
     """Breusch-Pagan LM test for homoscedasticity against one regressor.
 
     Auxiliary OLS of squared residuals on the regressor; LM = n * R^2 of
     that regression, referred to chi-square with 1 degree of freedom.
     Degenerate cases (all-zero residuals, or squared residuals that carry
-    no variance) are perfectly homoscedastic by convention: p = 1.
+    no variance) are perfectly homoscedastic by convention: p = 1. LM does
+    not depend on the scale of the residuals: where the squares of their
+    squares overflow, or come near the subnormal range (scales beyond
+    about 1e77 or below 1e-73), the residuals are first scaled by a power
+    of two near their largest magnitude, so every other p-value keeps its
+    bits.
     """
     e = np.asarray(residuals, dtype=float)
     x = np.asarray(regressor, dtype=float)
@@ -176,16 +204,15 @@ def breusch_pagan(residuals, regressor) -> float:
         raise ValueError(f"need at least 10 observations, got {n}")
     if np.ptp(x) == 0:
         raise ValueError("constant regressor: auxiliary regression undefined")
-    e2 = e * e
-    ss_tot = float(np.sum((e2 - e2.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0
-    slope, intercept = np.polyfit(x, e2, 1)
-    resid_aux = e2 - (slope * x + intercept)
-    r2_aux = 1.0 - float(np.sum(resid_aux**2)) / ss_tot
-    # rounding can leave R^2 a hair below 0, where chdtrc gives NaN and the
-    # chi-square survival function 1
-    lm = max(n * r2_aux, 0.0)
+    if not np.all(np.isfinite(e)):
+        raise ValueError("residuals must be finite")
+    lm = _bp_lm(e, x)
+    if math.isnan(lm):
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(e))))[1] - 1)
+        # near unit scale ss_tot is far above the floor, unless e**2 is constant
+        lm = _bp_lm(e / scale, x)
+        if math.isnan(lm):
+            return 1.0
     return float(special.chdtrc(1.0, lm))
 
 
@@ -282,8 +309,10 @@ def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceRes
     cells = [(i, j) for i in range(len(p_grid)) for j in range(len(s_grid))]
     configs = [engine.replace_config(config, usage_p=p_grid[i], adherence_s=s_grid[j])
                for i, j in cells]
-    # only stddev is read, so skip derive_kappas and its throwaway initial fit
-    reports = engine.run_many(data, configs, (), engine.DEFAULT_KAPPA_FRACTIONS, workers=workers)
+    # only stddev is read, so skip derive_kappas and its throwaway initial
+    # fit, and every optional probe statistic
+    reports = engine.run_many(data, configs, (), engine.DEFAULT_KAPPA_FRACTIONS, stats=(),
+                              workers=workers)
     mean = np.full((len(p_grid), len(s_grid)), np.nan)
     std = np.full((len(p_grid), len(s_grid)), np.nan)
     errors = {}

@@ -359,8 +359,39 @@ def _resolve_probes(config: LoopConfig, probes) -> list[int]:
     return sorted(chosen)
 
 
-def _observe(state, i, res, masses, moments, l1_terms):
-    """Write one probe's residual statistics into column i of res."""
+def _moments(dist, resid, i, res):
+    for order in DEFAULT_MOMENT_ORDERS:
+        try:
+            res[f"moment_{order}"][i] = dist.raw_moment(order)
+        except SaturationError:
+            pass
+
+
+def _moment_l1(dist, resid, i, res):
+    l1 = dist.moment_l1_sum(DEFAULT_MOMENT_L1_TERMS)
+    res["moment_l1"][i] = l1.value
+    res["moment_l1_truncated"][i] = l1.truncated_at is not None
+
+
+def _normality_p(dist, resid, i, res):
+    if dist.n >= 20 and np.ptp(resid) > 0:
+        res["normality_p"][i] = normality_test(resid)[1]
+
+
+# The statistics a probe computes only when asked for them: name -> (the
+# trace columns it writes, the function that writes them). Every probe
+# writes spike, psi, stddev and the mass@<kappa> columns.
+OPTIONAL_STATS = {
+    "moments": (tuple(f"moment_{order}" for order in DEFAULT_MOMENT_ORDERS), _moments),
+    "moment_l1": (("moment_l1", "moment_l1_truncated"), _moment_l1),
+    "normality_p": (("normality_p",), _normality_p),
+}
+ALL_STATS = tuple(OPTIONAL_STATS)
+
+
+def _observe(state, i, res, masses, stats):
+    """Write one probe's core statistics, and the optional ones named in
+    stats, into column i of res."""
     resid = state.residuals()
     dist = EmpiricalDistribution(resid)
     lo = float(dist.sample[0])
@@ -373,20 +404,11 @@ def _observe(state, i, res, masses, moments, l1_terms):
     res["stddev"][i] = spread(resid)
     for name, kappa in masses:
         res[name][i] = dist.interval_mass(kappa)
-    for name, order in moments:
-        try:
-            res[name][i] = dist.raw_moment(order)
-        except SaturationError:
-            pass
-    l1 = dist.moment_l1_sum(l1_terms)
-    res["moment_l1"][i] = l1.value
-    res["moment_l1_truncated"][i] = l1.truncated_at is not None
-    if dist.n >= 20 and np.ptp(resid) > 0:
-        res["normality_p"][i] = normality_test(resid)[1]
+    for name in stats:
+        OPTIONAL_STATS[name][1](dist, resid, i, res)
 
 
-def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, moment_orders, l1_terms,
-               collect):
+def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, stats, collect):
     """Lanes in lockstep: per lane its per-probe statistics and step traces,
     or the exception that ended it.
 
@@ -399,9 +421,8 @@ def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, moment_orders
     """
     schedule = configs[0]
     masses = [(f"mass@{kap:.10g}", kap) for kap in kappas]
-    moments = [(f"moment_{order}", order) for order in moment_orders]
-    names = ["spike", "psi", "stddev", "moment_l1", "moment_l1_truncated", "normality_p"]
-    names += [name for name, _ in masses + moments]
+    names = ["spike", "psi", "stddev"] + [name for name, _ in masses]
+    names += [column for name in stats for column in OPTIONAL_STATS[name][0]]
     res = [{name: np.full(len(probe_steps), np.nan) for name in names} for _ in configs]
     traces = [[] if collect else None for _ in configs]
     lookup = {t: i for i, t in enumerate(probe_steps)}
@@ -439,7 +460,7 @@ def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, moment_orders
             traces[lane].append(trace)
 
     def observe(lane):
-        _observe(states[lane], lookup[t], res[lane], masses, moments, l1_terms)
+        _observe(states[lane], lookup[t], res[lane], masses, stats)
 
     each(start)
     retrain()
@@ -461,11 +482,13 @@ def derive_kappas(data: Dataset, config: LoopConfig) -> list[float]:
 
     Uses a throwaway initialization with the first repeat's child seed, so
     the values are deterministic for a given (data, config) pair. Falls
-    back to the bare fractions if the initial fit is exact.
+    back to the bare fractions if the initial fit is exact. The spread is
+    density.spread, so residuals whose squares leave the float range still
+    give kappas on their own scale.
     """
     child = np.random.SeedSequence(config.seed).spawn(1)[0]
     state = init_state(data, config, rng=np.random.default_rng(child))
-    sd0 = float(np.std(state.residuals()))
+    sd0 = spread(state.residuals())
     if sd0 > 0 and math.isfinite(sd0):
         return [f * sd0 for f in DEFAULT_KAPPA_FRACTIONS]
     return list(DEFAULT_KAPPA_FRACTIONS)
@@ -495,8 +518,7 @@ def run_many(
     configs,
     probes,
     kappa_list,
-    moment_orders=DEFAULT_MOMENT_ORDERS,
-    moment_l1_terms=DEFAULT_MOMENT_L1_TERMS,
+    stats=ALL_STATS,
     collect_traces: bool = False,
     workers: int = 1,
 ) -> list:
@@ -505,7 +527,9 @@ def run_many(
     Each (config, repeat) pair is a lane. SGD lanes whose configs agree on
     every field but usage_p, adherence_s, seed and repeats advance in
     lockstep, split into `workers` tasks; every other lane is a task of
-    its own. With workers > 1 the tasks share one process pool. Returns
+    its own. With workers > 1 the tasks share one process pool. Every
+    probe writes the core statistics and the OPTIONAL_STATS named in
+    stats, by default all of them; an unknown name raises ValueError. Returns
     one DiagnosticsReport per config, in order, or an exception: the
     config's row-count error (checked before any lane runs) or the
     exception of its first failed repeat.
@@ -513,7 +537,11 @@ def run_many(
     kappas = list(kappa_list)
     if any(k <= 0 for k in kappas):
         raise ValueError("interval half-widths must be positive")
-    orders = [int(k) for k in moment_orders]
+    requested = set(stats)
+    unknown = sorted(requested - set(OPTIONAL_STATS))
+    if unknown:
+        raise ValueError(f"unknown probe statistics {unknown}; known: {list(OPTIONAL_STATS)}")
+    stats = tuple(name for name in OPTIONAL_STATS if name in requested)
     probe_steps = [_resolve_probes(config, probes) for config in configs]
     reports = [None] * len(configs)
     groups = {}
@@ -533,8 +561,7 @@ def run_many(
         chunks += [lanes[k * len(lanes) // n : (k + 1) * len(lanes) // n] for k in range(n)]
     tasks = [
         (data, [configs[i] for i, _, _ in chunk], [child for _, _, child in chunk],
-         [r for _, r, _ in chunk], probe_steps[chunk[0][0]], kappas, orders, moment_l1_terms,
-         collect_traces)
+         [r for _, r, _ in chunk], probe_steps[chunk[0][0]], kappas, stats, collect_traces)
         for chunk in chunks
     ]
     if workers > 1 and len(tasks) > 1:
@@ -561,7 +588,7 @@ def run_many(
         reports[index] = DiagnosticsReport(
             probe_steps=steps,
             kappa_list=kappas,
-            moment_orders=orders,
+            moment_orders=DEFAULT_MOMENT_ORDERS if "moments" in stats else (),
             config_echo=config,
             per_repeat=per_repeat,
             spike_counts=np.sum(spikes, axis=0),

@@ -42,6 +42,7 @@ from loopsim.data import (
 )
 from loopsim.diagnostics import autonomy_fit, stddev_surface
 from loopsim.engine import (
+    ALL_STATS,
     SETTING_SAMPLING,
     SETTING_SLIDING,
     LoopConfig,
@@ -50,6 +51,14 @@ from loopsim.engine import (
 )
 
 EXPERIMENTS = ("sweep", "density_trace", "normality", "autonomy", "moments", "analytic_demo")
+# the optional probe statistics (engine.OPTIONAL_STATS) each trace experiment
+# writes; every probe also writes psi, stddev and the interval masses
+EXPERIMENT_STATS = {
+    "density_trace": ALL_STATS,
+    "moments": ALL_STATS,
+    "normality": ("normality_p",),
+    "autonomy": (),
+}
 GENERATOR_KINDS = ("linear", "friedman1")
 SETTING_ALIASES = {
     "sampling": SETTING_SAMPLING,
@@ -442,7 +451,7 @@ def _checked_loop_config(config: ExperimentConfig, data: Dataset) -> LoopConfig:
 
 
 def _summarize_report(report) -> dict:
-    return {
+    summary = {
         "probe_steps": report.probe_steps,
         "kappas": report.kappa_list,
         "psi_mean": report.psi_trace,
@@ -450,11 +459,14 @@ def _summarize_report(report) -> dict:
         "stddev_mean": report.stddev_trace,
         "stddev_std": report.std("stddev"),
         "interval_mass_mean": {repr(k): v for k, v in report.interval_masses.items()},
-        "moment_l1_mean": report.moment_l1_trace,
-        "normality_p_mean": report.normality_pvalues,
         "spike_counts": report.spike_counts,
         "repeats": report.repeats_aggregated,
     }
+    # only the statistics the probes computed
+    for stat, key in (("moment_l1", "moment_l1_mean"), ("normality_p", "normality_p_mean")):
+        if stat in report.per_repeat:
+            summary[key] = report.mean(stat)
+    return summary
 
 
 def _run_trace_experiment(config: ExperimentConfig, out_dir: Path) -> tuple[list, dict]:
@@ -465,6 +477,7 @@ def _run_trace_experiment(config: ExperimentConfig, out_dir: Path) -> tuple[list
         loop_config,
         probes=config.probes,
         kappa_list=list(config.kappas) if config.kappas is not None else None,
+        stats=EXPERIMENT_STATS[config.experiment],
         collect_traces=config.collect_traces,
         workers=config.resolved_workers(),
     )

@@ -194,6 +194,37 @@ def test_bp_rounded_negative_lm_is_homoscedastic():
     assert breusch_pagan(e, np.arange(95.0)) == 1.0
 
 
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(10, 300),
+    trend=st.booleans(),
+    exponent=st.floats(-150.0, 150.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_bp_does_not_depend_on_the_scale_of_the_residuals(seed, n, trend, exponent):
+    """From 1e-150 to 1e150, where the squares of the squared residuals
+    leave the float range: a power-of-two scale keeps the bits of the
+    p-value, a decimal one keeps it up to rounding."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n, dtype=float)
+    e = rng.normal(size=n) * ((0.1 + x / n) if trend else 1.0)
+    plain = breusch_pagan(e, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = breusch_pagan(e * 10.0**exponent, x)
+        binary = breusch_pagan(e * 2.0 ** round(exponent * math.log2(10.0)), x)
+    assert scaled == pytest.approx(plain, rel=1e-9, abs=1e-9)
+    assert _bits(binary) == _bits(plain)
+
+
+def test_bp_rejects_nonfinite_residuals():
+    e = np.random.default_rng(0).normal(size=50)
+    e[7] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        breusch_pagan(e, np.arange(50.0))
+
+
 # -- autonomy fit ------------------------------------------------------
 
 def test_autonomy_fit_recovers_decay_rate():

@@ -1,5 +1,7 @@
 """Loop engine: config validation, protocol mechanics, determinism."""
 
+import dataclasses
+import itertools
 import math
 import multiprocessing
 import types
@@ -475,13 +477,14 @@ def test_replace_config():
 # -- probes at float extremes ------------------------------------------
 
 def _probe(resid) -> dict:
-    """One _observe call on a fixed residual sample: its statistics by name."""
+    """One _observe call with every statistic on a fixed residual sample: its
+    statistics by name."""
     masses = [("mass@1", 1.0)]
-    moments = [(f"moment_{k}", k) for k in engine.DEFAULT_MOMENT_ORDERS]
-    names = ["spike", "psi", "stddev", "moment_l1", "moment_l1_truncated", "normality_p"]
-    res = {name: np.full(1, np.nan) for name in names + [n for n, _ in masses + moments]}
+    names = ["spike", "psi", "stddev", "mass@1"]
+    names += [column for columns, _ in engine.OPTIONAL_STATS.values() for column in columns]
+    res = {name: np.full(1, np.nan) for name in names}
     state = types.SimpleNamespace(residuals=lambda: resid)
-    engine._observe(state, 0, res, masses, moments, engine.DEFAULT_MOMENT_L1_TERMS)
+    engine._observe(state, 0, res, masses, engine.ALL_STATS)
     return {name: column[0] for name, column in res.items()}
 
 
@@ -512,3 +515,122 @@ def test_probe_does_not_raise_on_finite_samples_at_float_extremes(seed, n, expon
     assert not stats["spike"]
     p = stats["normality_p"]
     assert math.isnan(p) or 0.0 <= p <= 1.0
+
+
+# -- optional probe statistics -------------------------------------------
+
+def _columns(stats) -> set:
+    return {column for name in stats for column in engine.OPTIONAL_STATS[name][0]}
+
+
+@pytest.fixture(scope="module")
+def stats_runs():
+    """run_many over a sampling and a sliding config, for a given stats
+    tuple; and its result with every statistic."""
+    data = generate_linear(120, 4, noise_variance=1.0, seed=16)
+    configs = [cfg(total_steps=60, adherence_s=1.5, repeats=2, probe_every=20),
+               cfg(setting=SETTING_SLIDING, total_steps=60, usage_p=0.5, repeats=2,
+                   probe_every=20)]
+
+    def go(**options):
+        return run_many(data, configs, None, [0.1, 0.5], **options)
+
+    return go, go(stats=engine.ALL_STATS)
+
+
+@pytest.mark.parametrize("subset", [
+    subset for r in range(len(engine.ALL_STATS) + 1)
+    for subset in itertools.combinations(engine.ALL_STATS, r)
+], ids=lambda subset: "+".join(subset) or "core")
+def test_a_subset_of_the_statistics_keeps_the_bits_of_the_full_run(stats_runs, subset):
+    go, full = stats_runs
+    for part, whole in zip(go(stats=subset), full):
+        assert set(part.per_repeat) == {"psi", "stddev", "mass@0.1", "mass@0.5"} | _columns(subset)
+        for name, matrix in part.per_repeat.items():
+            assert np.array_equal(matrix, whole.per_repeat[name], equal_nan=True), name
+        assert np.array_equal(part.spike_counts, whole.spike_counts)
+        assert part.moment_orders == (whole.moment_orders if "moments" in subset else ())
+
+
+def test_run_many_computes_every_statistic_by_default(stats_runs):
+    go, full = stats_runs
+    assert full[0].moment_orders == (1, 2, 3, 4, 5, 6)
+    for default, whole in zip(go(), full):
+        assert set(default.per_repeat) == set(whole.per_repeat)
+        for name, matrix in default.per_repeat.items():
+            assert np.array_equal(matrix, whole.per_repeat[name], equal_nan=True), name
+
+
+def test_run_many_takes_the_statistics_in_any_order_and_rejects_unknown_names(stats_runs):
+    go, _ = stats_runs
+    ordered = go(stats=("moments", "normality_p"))
+    shuffled = go(stats=("normality_p", "moments", "normality_p"))
+    for a, b in zip(ordered, shuffled):
+        assert list(a.per_repeat) == list(b.per_repeat)
+    with pytest.raises(ValueError, match="kurtosis"):
+        go(stats=("moments", "kurtosis"))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_derive_kappas_keep_the_scale_of_residuals_whose_squares_leave_the_float_range(scale):
+    # np.std of these residuals overflows (1e160) or underflows (1e-170)
+    data = generate_linear(300, 4, noise_variance=1.0, seed=0)
+    config = cfg(total_steps=10, repeats=1)
+    base = engine.derive_kappas(data, config)
+    with np.errstate(over="ignore", under="ignore"):
+        kappas = engine.derive_kappas(dataclasses.replace(data, targets=data.targets * scale),
+                                      config)
+    assert np.allclose(np.array(kappas) / scale, base, rtol=1e-9, atol=0.0)
+
+
+# -- loop invariants -------------------------------------------------------
+
+LOOP_DATA = generate_linear(60, 3, noise_variance=1.0, seed=17)
+
+
+@given(seed=st.integers(0, 2**32 - 1), usage=st.floats(0.0, 1.0),
+       adherence=st.floats(0.0, 3.0), period=st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_sliding_window_holds_distinct_items_and_consumes_each_reserve_item_once(
+        seed, usage, adherence, period):
+    w = cfg(setting=SETTING_SLIDING).window_size(LOOP_DATA.n_rows)
+    c = cfg(setting=SETTING_SLIDING, total_steps=LOOP_DATA.n_rows - w, usage_p=usage,
+            adherence_s=adherence, retrain_period=period)
+    state = init_state(LOOP_DATA, c, np.random.default_rng(seed))
+    window = state.item_indices.tolist()
+    reserve = state.reserve_indices.tolist()
+    assert sorted(window + reserve) == list(range(LOOP_DATA.n_rows))
+    consumed = []
+    for _ in range(c.total_steps):
+        consumed.append(step(state, c).item_index)
+        assert len(set(state.item_indices.tolist())) == w
+        # the window is the newest w items, the oldest of them evicted first
+        assert set(state.item_indices.tolist()) == set((window + consumed)[-w:])
+    assert consumed == reserve
+    with pytest.raises(LoopComplete):
+        step(state, c)
+
+
+@given(seed=st.integers(0, 2**32 - 1), sliding=st.booleans(), usage=st.floats(0.0, 1.0),
+       adherence=st.floats(0.0, 3.0), steps=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_replaced_count_equals_the_used_predictions_in_the_traces(
+        seed, sliding, usage, adherence, steps):
+    c = cfg(setting=SETTING_SLIDING if sliding else SETTING_SAMPLING, total_steps=steps,
+            usage_p=usage, adherence_s=adherence, retrain_period=7)
+    state = init_state(LOOP_DATA, c, np.random.default_rng(seed))
+    traces = [step(state, c) for _ in range(steps)]
+    assert state.replaced_count == sum(tr.used_prediction for tr in traces)
+
+
+@given(seed=st.integers(0, 2**32 - 1), sliding=st.booleans(), adherence=st.floats(0.0, 3.0),
+       steps=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_zero_usage_leaves_the_targets_bitwise_unchanged(seed, sliding, adherence, steps):
+    c = cfg(setting=SETTING_SLIDING if sliding else SETTING_SAMPLING, total_steps=steps,
+            usage_p=0.0, adherence_s=adherence, retrain_period=7)
+    state = init_state(LOOP_DATA, c, np.random.default_rng(seed))
+    for _ in range(steps):
+        step(state, c)
+    assert state.targets.tobytes() == LOOP_DATA.targets[state.item_indices].tobytes()
+    assert state.replaced_count == 0

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 import loopsim
 from loopsim import cli
-from loopsim.engine import SETTING_SAMPLING, SETTING_SLIDING
+from loopsim.engine import OPTIONAL_STATS, SETTING_SAMPLING, SETTING_SLIDING
 from loopsim.harness import (
+    EXPERIMENT_STATS,
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
@@ -28,6 +30,8 @@ from loopsim.harness import (
     report,
     sha256_file,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 BASE_RAW = {
     "experiment": "density_trace",
@@ -277,6 +281,43 @@ def test_report_detects_tampering(trace_run, tmp_path):
         report([result.manifest_path], tmp_path / "never")
 
 
+def _written_stats(experiment) -> set:
+    """The trace.csv statistics of a trace experiment, the masses aside."""
+    return {"psi", "stddev"} | {column for name in EXPERIMENT_STATS[experiment]
+                                for column in OPTIONAL_STATS[name][0]}
+
+
+def test_every_trace_experiment_declares_its_statistics():
+    assert set(EXPERIMENT_STATS) == set(EXPERIMENTS) - {"sweep", "analytic_demo"}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_STATS))
+def test_trace_csv_holds_exactly_the_declared_statistics(tmp_path, experiment):
+    execute(build_config(raw_config(experiment=experiment, kappas="0.5,1",
+                                    out_dir=str(tmp_path))))
+    rows = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert {row.split(",")[2] for row in rows} == _written_stats(experiment) | {"mass@0.5",
+                                                                                "mass@1"}
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    declared = EXPERIMENT_STATS[experiment]
+    assert ("moment_l1_mean" in summary) == ("moment_l1" in declared)
+    assert ("normality_p_mean" in summary) == ("normality_p" in declared)
+
+
+def test_benchmark_workloads_read_only_declared_statistics():
+    # loaded by path, as the benchmark itself loads it
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        experiment = workload.args[workload.args.index("--experiment") + 1]
+        required = set(workloads.REQUIRED_STATS.get(workload.regime, ()))
+        if experiment == "sweep":
+            assert required <= {"stddev"}, workload.name
+        else:
+            assert required <= _written_stats(experiment), workload.name
+
+
 def test_sweep_run_produces_surface_rows(tmp_path):
     cfg = build_config(raw_config(
         experiment="sweep", rows="60", steps="25", repeats="1",
@@ -405,7 +446,7 @@ def test_cli_from_manifest_refuses_another_tool_version(trace_run, tmp_path, cap
     code = cli.main(["run", "--from-manifest", str(doctored),
                      "--out-dir", str(tmp_path / "rerun")])
     assert code == 2
-    assert "written by loopsim 0.1.0.dev1" in capsys.readouterr().err
+    assert f"written by loopsim {loopsim.__version__}.dev1" in capsys.readouterr().err
     assert not (tmp_path / "rerun").exists()
 
 
