@@ -26,28 +26,29 @@ from loopsim.harness import (
     sha256_file,
 )
 
-work = Path(tempfile.mkdtemp(prefix="loopsim_demo_"))
+with tempfile.TemporaryDirectory(prefix="loopsim_demo_") as tmp:
+    work = Path(tmp)
 
-config = build_config({
-    "experiment": "density_trace",
-    "kind": "linear", "rows": "300", "cols": "6", "noise": "1.0",
-    "data_seed": "42",
-    "setting": "sampling", "usage": "1.0", "adherence": "0.0",
-    "steps": "400", "seed": "7", "repeats": "2",
-    "out_dir": str(work / "run1"),
-})
-result = execute(config)
-print("run wrote:")
-for path in result.output_paths:
-    print("  ", path)
-print("  ", result.manifest_path)
+    config = build_config({
+        "experiment": "density_trace",
+        "kind": "linear", "rows": "300", "cols": "6", "noise": "1.0",
+        "data_seed": "42",
+        "setting": "sampling", "usage": "1.0", "adherence": "0.0",
+        "steps": "400", "seed": "7", "repeats": "2",
+        "out_dir": str(work / "run1"),
+    })
+    result = execute(config)
+    print("run wrote:")
+    for path in result.output_paths:
+        print("  ", path)
+    print("  ", result.manifest_path)
 
-rerun = execute(dataclasses.replace(config_from_manifest(result.manifest_path),
-                                    out_dir=str(work / "run2")))
-same = (sha256_file(result.out_dir / "trace.csv")
-        == sha256_file(rerun.out_dir / "trace.csv"))
-print(f"\nrerun from manifest byte-identical: {same}")
+    rerun = execute(dataclasses.replace(config_from_manifest(result.manifest_path),
+                                        out_dir=str(work / "run2")))
+    same = (sha256_file(result.out_dir / "trace.csv")
+            == sha256_file(rerun.out_dir / "trace.csv"))
+    print(f"\nrerun from manifest byte-identical: {same}")
 
-merged = report([result.manifest_path, rerun.manifest_path], work / "merged")
-print(f"report merged {merged['row_counts']['traces']} trace rows from "
-      f"{len(merged['groups'])} config group(s) into {work / 'merged'}")
+    merged = report([result.manifest_path, rerun.manifest_path], work / "merged")
+    print(f"report merged {merged['row_counts']['traces']} trace rows from "
+          f"{len(merged['groups'])} config group(s) into {work / 'merged'}")

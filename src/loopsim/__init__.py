@@ -52,10 +52,10 @@ from loopsim.diagnostics import (
 from loopsim.engine import (
     SETTING_SAMPLING,
     SETTING_SLIDING,
+    STEP_RECORD,
     LoopComplete,
     LoopConfig,
     LoopState,
-    StepTrace,
     init_state,
     run,
     run_many,
@@ -82,8 +82,8 @@ __all__ = [
     "SETTING_SAMPLING",
     "SETTING_SLIDING",
     "SPIKE",
+    "STEP_RECORD",
     "SaturationError",
-    "StepTrace",
     "SurfaceResult",
     "TestFunction",
     "TrainedModel",

@@ -26,16 +26,16 @@ class DiagnosticsReport:
     "moment_l1", "moment_l1_truncated" and "moment_<k>" where the probes
     computed them (``moment_orders`` is empty when they skipped the raw
     moments). ``mean`` and ``std`` reduce them over repeats, and the trace
-    properties are their means.
+    properties are their means. ``step_traces`` is the (repeats x
+    total_steps) recarray of the loop's step records (engine.STEP_RECORD).
     """
 
     probe_steps: list
     kappa_list: list
     moment_orders: list
-    config_echo: object
     per_repeat: dict
     spike_counts: np.ndarray
-    step_traces: list = None
+    step_traces: np.recarray
 
     def __post_init__(self):
         n = len(self.probe_steps)

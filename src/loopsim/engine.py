@@ -10,11 +10,13 @@ and the model is refit on a schedule. Two update protocols are supported:
 * ``sampling_update``: the active set is the whole dataset; each step draws
   one item uniformly and overwrites its target in place.
 
-``run`` executes several independent repeats and collects their per-probe
-residual statistics into a DiagnosticsReport; ``run_many`` does the same
-for several configs through one task list. A lane is one (config, repeat)
-pair: lanes of a task advance in lockstep, and SGD lanes share one batched
-fit per retrain.
+Each step writes one row of the state's step record (``STEP_RECORD``):
+the drawn item, its target, the prediction, the sampled value, whether it
+was used, and the residual. ``run`` executes several independent repeats
+and collects their per-probe residual statistics and step records into a
+DiagnosticsReport; ``run_many`` does the same for several configs through
+one task list. A lane is one (config, repeat) pair: the lanes of a task
+advance in lockstep, and SGD lanes share one batched fit per retrain.
 """
 
 import dataclasses
@@ -58,7 +60,7 @@ _MODELS = (SOLVER_SGD, SOLVER_RIDGE_EXACT, SOLVER_RIDGE_REGULARIZED)
 
 
 class LoopComplete(Exception):
-    """Signals that a sliding-window reserve has been fully consumed."""
+    """Signals that the loop has taken its total_steps steps."""
 
 
 @dataclass(frozen=True)
@@ -162,26 +164,24 @@ def replace_config(config: LoopConfig, **changes) -> LoopConfig:
     return dataclasses.replace(config, **changes)
 
 
-@dataclass(frozen=True)
-class StepTrace:
-    """Record of a single loop step."""
-
-    step_t: int
-    item_index: int
-    y_true: float
-    y_pred: float
-    z_sampled: float
-    used_prediction: bool
-    residual: float
+# one row per loop step: step_t, the drawn item, its true target, the
+# prediction, the sampled replacement, whether it replaced the target, and
+# the residual y_true - y_pred
+STEP_RECORD = np.dtype([
+    ("step_t", np.int64), ("item_index", np.int64), ("y_true", np.float64),
+    ("y_pred", np.float64), ("z_sampled", np.float64), ("used_prediction", np.bool_),
+    ("residual", np.float64),
+])
 
 
 @dataclass
 class LoopState:
-    """Mutable state of one run: active set, reserve, model, counters.
+    """Mutable state of one run: active set, reserve, model, step record.
 
     For sliding windows the active arrays form a ring whose oldest slot is
     ring_pos; the reserve arrays hold the not-yet-consumed items in the
-    (already permuted) order they will be drawn.
+    (already permuted) order they will be drawn. record is a STEP_RECORD
+    recarray of total_steps rows, of which the first step_t are written.
     """
 
     features: np.ndarray
@@ -196,7 +196,7 @@ class LoopState:
     round_r: int
     model: TrainedModel | None
     sigma2: float
-    replaced_count: int
+    record: np.recarray
     rng: np.random.Generator
 
     @property
@@ -206,6 +206,10 @@ class LoopState:
     @property
     def reserve_remaining(self) -> int:
         return int(self.reserve_targets.size - self.reserve_pos)
+
+    @property
+    def replaced_count(self) -> int:
+        return int(np.count_nonzero(self.record.used_prediction[: self.step_t]))
 
     def residuals(self) -> np.ndarray:
         return self.targets - predict(self.model, self.features)
@@ -293,7 +297,7 @@ def init_state(data: Dataset, config: LoopConfig, rng=None, retrain: bool = True
         round_r=0,
         model=None,
         sigma2=0.0,
-        replaced_count=0,
+        record=np.zeros(config.total_steps, STEP_RECORD).view(np.recarray),
         rng=rng,
     )
     if retrain:
@@ -301,19 +305,19 @@ def init_state(data: Dataset, config: LoopConfig, rng=None, retrain: bool = True
     return state
 
 
-def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> StepTrace:
+def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> np.record:
     """Advance the loop by one item; retrains when the schedule says so.
 
-    Raises LoopComplete once a sliding-window reserve is exhausted. The
-    returned trace records the drawn item, the prediction, the sampled
-    replacement value, and whether it was used. With retrain=False a
-    scheduled refit is left to the caller.
+    Raises LoopComplete once the loop has taken config.total_steps steps.
+    Writes and returns the step's row of state.record: the drawn item, the
+    prediction, the sampled replacement value, and whether it was used.
+    With retrain=False a scheduled refit is left to the caller.
     """
+    if state.step_t >= config.total_steps:
+        raise LoopComplete(f"loop complete after {state.step_t} steps")
     rng = state.rng
     sliding = config.setting == SETTING_SLIDING
     if sliding:
-        if state.reserve_pos >= state.reserve_targets.size:
-            raise LoopComplete(f"reserve exhausted after {state.step_t} steps")
         pos = state.reserve_pos
         x = state.reserve_features[pos]
         y_true = float(state.reserve_targets[pos])
@@ -336,13 +340,13 @@ def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> StepTrac
         state.reserve_pos += 1
     else:
         state.targets[slot] = new_target
-    if used:
-        state.replaced_count += 1
+    row = state.step_t
     state.step_t += 1
+    state.record[row] = (state.step_t, item, y_true, y_pred, z, used, y_true - y_pred)
     state.round_r = state.step_t // config.retrain_period
     if retrain and state.step_t % config.retrain_period == 0:
         _retrain(state, config)
-    return StepTrace(state.step_t, item, y_true, y_pred, z, used, y_true - y_pred)
+    return state.record[row]
 
 
 def _resolve_probes(config: LoopConfig, probes) -> list[int]:
@@ -408,8 +412,8 @@ def _observe(state, i, res, masses, stats):
         OPTIONAL_STATS[name][1](dist, resid, i, res)
 
 
-def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, stats, collect):
-    """Lanes in lockstep: per lane its per-probe statistics and step traces,
+def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, stats):
+    """Lanes in lockstep: per lane its per-probe statistics and step record,
     or the exception that ended it.
 
     Lane i is repeat repeats[i] of configs[i], seeded by the child seed
@@ -424,7 +428,6 @@ def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, stats, collec
     names = ["spike", "psi", "stddev"] + [name for name, _ in masses]
     names += [column for name in stats for column in OPTIONAL_STATS[name][0]]
     res = [{name: np.full(len(probe_steps), np.nan) for name in names} for _ in configs]
-    traces = [[] if collect else None for _ in configs]
     lookup = {t: i for i, t in enumerate(probe_steps)}
     out = [None] * len(configs)
     states = [None] * len(configs)
@@ -455,9 +458,7 @@ def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, stats, collec
                 end(lane, error)
 
     def advance(lane):
-        trace = step(states[lane], configs[lane], retrain=False)
-        if collect:
-            traces[lane].append(trace)
+        step(states[lane], configs[lane], retrain=False)
 
     def observe(lane):
         _observe(states[lane], lookup[t], res[lane], masses, stats)
@@ -473,7 +474,7 @@ def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, stats, collec
         if t in lookup:
             each(observe)
     for lane in live:
-        out[lane] = (res[lane], traces[lane])
+        out[lane] = (res[lane], states[lane].record)
     return out
 
 
@@ -519,20 +520,20 @@ def run_many(
     probes,
     kappa_list,
     stats=ALL_STATS,
-    collect_traces: bool = False,
     workers: int = 1,
 ) -> list:
     """Run the repeats of several configs as one task list.
 
-    Each (config, repeat) pair is a lane. SGD lanes whose configs agree on
+    Each (config, repeat) pair is a lane. Lanes whose configs agree on
     every field but usage_p, adherence_s, seed and repeats advance in
-    lockstep, split into `workers` tasks; every other lane is a task of
-    its own. With workers > 1 the tasks share one process pool. Every
-    probe writes the core statistics and the OPTIONAL_STATS named in
-    stats, by default all of them; an unknown name raises ValueError. Returns
-    one DiagnosticsReport per config, in order, or an exception: the
-    config's row-count error (checked before any lane runs) or the
-    exception of its first failed repeat.
+    lockstep, split into `workers` tasks; SGD lanes share one batched fit
+    per retrain, ridge lanes are fitted one by one. With workers > 1 the
+    tasks share one process pool. Every probe writes the core statistics
+    and the OPTIONAL_STATS named in stats, by default all of them; an
+    unknown name raises ValueError. Returns
+    one DiagnosticsReport per config, in order, with its repeats' step
+    records, or an exception: the config's row-count error (checked before
+    any lane runs) or the exception of its first failed repeat.
     """
     kappas = list(kappa_list)
     if any(k <= 0 for k in kappas):
@@ -553,15 +554,14 @@ def run_many(
             continue
         shared = replace_config(config, usage_p=0.0, adherence_s=0.0, seed=0, repeats=1)
         for repeat, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.repeats)):
-            key = shared if config.model == SOLVER_SGD else (index, repeat)
-            groups.setdefault(key, []).append((index, repeat, child))
+            groups.setdefault(shared, []).append((index, repeat, child))
     chunks = []
     for lanes in groups.values():
         n = max(1, min(workers, len(lanes)))
         chunks += [lanes[k * len(lanes) // n : (k + 1) * len(lanes) // n] for k in range(n)]
     tasks = [
         (data, [configs[i] for i, _, _ in chunk], [child for _, _, child in chunk],
-         [r for _, r, _ in chunk], probe_steps[chunk[0][0]], kappas, stats, collect_traces)
+         [r for _, r, _ in chunk], probe_steps[chunk[0][0]], kappas, stats)
         for chunk in chunks
     ]
     if workers > 1 and len(tasks) > 1:
@@ -589,9 +589,8 @@ def run_many(
             probe_steps=steps,
             kappa_list=kappas,
             moment_orders=DEFAULT_MOMENT_ORDERS if "moments" in stats else (),
-            config_echo=config,
             per_repeat=per_repeat,
             spike_counts=np.sum(spikes, axis=0),
-            step_traces=[traces for _, traces in mine] if collect_traces else None,
+            step_traces=np.stack([record for _, record in mine]).view(np.recarray),
         )
     return reports

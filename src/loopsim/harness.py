@@ -133,7 +133,7 @@ class ExperimentConfig:
     t_list: tuple[int, ...] = (1, 2, 5, 10, 20, 50, 100)
     out_dir: str = ""
     workers: int = 0
-    collect_traces: bool = False
+    collect_traces: bool = False  # write the report's step records to steps.csv
 
     def to_flat_dict(self) -> dict:
         """Canonical flat key=value view; parsing it back is the identity."""
@@ -414,13 +414,10 @@ def write_steps_csv(path: Path, report) -> None:
               "used_prediction", "residual"]
 
     def rows():
-        for repeat, traces in enumerate(report.step_traces):
-            for tr in traces:
-                yield (
-                    str(repeat), str(tr.step_t), str(tr.item_index), _fmt(tr.y_true),
-                    _fmt(tr.y_pred), _fmt(tr.z_sampled), "1" if tr.used_prediction else "0",
-                    _fmt(tr.residual),
-                )
+        for repeat, record in enumerate(report.step_traces):
+            for step_t, item, y_true, y_pred, z, used, resid in record.tolist():
+                yield (str(repeat), str(step_t), str(item), _fmt(y_true), _fmt(y_pred),
+                       _fmt(z), "1" if used else "0", _fmt(resid))
 
     _write_csv(path, header, rows())
 
@@ -478,7 +475,6 @@ def _run_trace_experiment(config: ExperimentConfig, out_dir: Path) -> tuple[list
         probes=config.probes,
         kappa_list=list(config.kappas) if config.kappas is not None else None,
         stats=EXPERIMENT_STATS[config.experiment],
-        collect_traces=config.collect_traces,
         workers=config.resolved_workers(),
     )
     outputs = []

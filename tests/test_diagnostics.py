@@ -360,8 +360,8 @@ def _report(values):
     matrix = np.array(values, dtype=float)
     return DiagnosticsReport(
         probe_steps=list(range(matrix.shape[1])), kappa_list=[], moment_orders=[],
-        config_echo=None, per_repeat={"moment_l1": matrix},
-        spike_counts=np.zeros(matrix.shape[1]),
+        per_repeat={"moment_l1": matrix}, spike_counts=np.zeros(matrix.shape[1]),
+        step_traces=np.zeros((len(matrix), 0), engine.STEP_RECORD).view(np.recarray),
     )
 
 

@@ -352,16 +352,6 @@ def test_run_keeps_probing_past_two_to_the_53():
     assert rep.per_repeat["moment_l1_truncated"][0][-1] == 1.0
 
 
-def test_run_collect_traces():
-    data = generate_linear(60, 3, noise_variance=1.0, seed=14)
-    rep = run(data, cfg(total_steps=25, repeats=2), collect_traces=True)
-    assert len(rep.step_traces) == 2
-    assert len(rep.step_traces[0]) == 25
-    first = rep.step_traces[0][0]
-    assert first.step_t == 1
-    assert first.residual == first.y_true - first.y_pred
-
-
 def test_run_many_matches_run_per_config_at_any_worker_count():
     data = generate_linear(80, 3, noise_variance=1.0, seed=15)
     configs = [cfg(total_steps=60, adherence_s=0.5, repeats=2, seed=4),
@@ -619,8 +609,38 @@ def test_replaced_count_equals_the_used_predictions_in_the_traces(
     c = cfg(setting=SETTING_SLIDING if sliding else SETTING_SAMPLING, total_steps=steps,
             usage_p=usage, adherence_s=adherence, retrain_period=7)
     state = init_state(LOOP_DATA, c, np.random.default_rng(seed))
-    traces = [step(state, c) for _ in range(steps)]
+    assert state.replaced_count == 0
+    traces = []
+    for row in range(steps):
+        traces.append(step(state, c))
+        assert traces[-1].tobytes() == state.record[row].tobytes()
+        assert state.replaced_count == np.count_nonzero(state.record.used_prediction[: row + 1])
     assert state.replaced_count == sum(tr.used_prediction for tr in traces)
+
+
+@given(seed=st.integers(0, 2**32 - 1), sliding=st.booleans(), usage=st.floats(0.0, 1.0),
+       adherence=st.floats(0.0, 3.0), steps=st.integers(1, 30))
+@settings(max_examples=25, deadline=None)
+def test_the_step_record_holds_one_row_per_step_and_the_loop_ends_at_total_steps(
+        seed, sliding, usage, adherence, steps):
+    c = cfg(setting=SETTING_SLIDING if sliding else SETTING_SAMPLING, total_steps=steps,
+            usage_p=usage, adherence_s=adherence, retrain_period=7, seed=seed, repeats=2,
+            window_fraction=0.5 if sliding else None)
+    records = run(LOOP_DATA, c, kappa_list=[0.1], stats=()).step_traces
+    assert records.shape == (2, steps)
+    assert records.dtype == engine.STEP_RECORD
+    for repeat, child in enumerate(np.random.SeedSequence(seed).spawn(2)):
+        record = records[repeat]
+        assert record.step_t.tolist() == list(range(1, steps + 1))
+        assert record.residual.tobytes() == (record.y_true - record.y_pred).tobytes()
+        # the lockstep lanes of run write the record of a solo loop
+        state = init_state(LOOP_DATA, c, np.random.default_rng(child))
+        for _ in range(steps):
+            step(state, c)
+        assert state.record.tobytes() == record.tobytes()
+        assert state.replaced_count == np.count_nonzero(record.used_prediction)
+        with pytest.raises(LoopComplete, match=f"after {steps} steps"):
+            step(state, c)
 
 
 @given(seed=st.integers(0, 2**32 - 1), sliding=st.booleans(), adherence=st.floats(0.0, 3.0),

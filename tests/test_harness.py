@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import loopsim
 from loopsim import cli
-from loopsim.engine import OPTIONAL_STATS, SETTING_SAMPLING, SETTING_SLIDING
+from loopsim.data import generate_linear
+from loopsim.engine import OPTIONAL_STATS, SETTING_SAMPLING, SETTING_SLIDING, run
 from loopsim.harness import (
     EXPERIMENT_STATS,
     EXPERIMENTS,
@@ -253,6 +254,30 @@ def test_rerun_from_manifest_is_byte_identical(trace_run, tmp_path):
     rerun = execute(rerun_cfg)
     original = (result.out_dir / "trace.csv").read_bytes()
     assert (rerun.out_dir / "trace.csv").read_bytes() == original
+
+
+def test_steps_csv_is_the_same_at_any_worker_count_and_parses_back_to_the_step_record(
+        tmp_path):
+    raw = raw_config(usage="0.5", adherence="1.0", repeats="3", collect_traces="true")
+    paths = []
+    for workers in (1, 2):
+        result = execute(build_config({**raw, "workers": str(workers),
+                                       "out_dir": str(tmp_path / f"w{workers}")}))
+        paths.append(result.out_dir / "steps.csv")
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    header, *lines = paths[0].read_text(encoding="utf-8").splitlines()
+    assert header == "repeat,step,item_index,y_true,y_pred,z_sampled,used_prediction,residual"
+    parsed = []
+    for line in lines:
+        repeat, step_t, item, y_true, y_pred, z, used, resid = line.split(",")
+        parsed.append((int(repeat), int(step_t), int(item), float(y_true), float(y_pred),
+                       float(z), {"1": True, "0": False}[used], float(resid)))
+    cfg = build_config(raw)
+    data = generate_linear(cfg.rows, cfg.cols, cfg.noise, cfg.data_seed)
+    records = run(data, cfg.loop_config(), stats=()).step_traces
+    assert records.shape == (3, 30)
+    assert parsed == [(repeat, *row) for repeat, record in enumerate(records)
+                      for row in record.tolist()]
 
 
 # -- report merging ------------------------------------------------------
