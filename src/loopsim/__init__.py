@@ -16,10 +16,8 @@ from loopsim.analytic import (
     TestFunction,
     apply_map,
     autonomy_check,
-    custom_sequence,
     envelope_norm,
     envelope_step,
-    even_moment_bound,
     gaussian_density,
     linear_sequence,
     moment_scaling_predict,
@@ -28,7 +26,6 @@ from loopsim.analytic import (
     transformed_support,
     triangle_test_function,
     uniform_density,
-    verify_transformation,
     weak_limit_probe,
 )
 from loopsim.data import Dataset, generate_friedman1, generate_linear
@@ -91,11 +88,9 @@ __all__ = [
     "autonomy_check",
     "autonomy_fit",
     "breusch_pagan",
-    "custom_sequence",
     "dkw_epsilon",
     "envelope_norm",
     "envelope_step",
-    "even_moment_bound",
     "fit_huber_line",
     "fit_ridge",
     "fit_sgd",
@@ -117,6 +112,5 @@ __all__ = [
     "transformed_support",
     "triangle_test_function",
     "uniform_density",
-    "verify_transformation",
     "weak_limit_probe",
 ]

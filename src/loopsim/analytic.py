@@ -11,7 +11,7 @@ All quadrature is one-dimensional, adaptive, absolute tolerance 1e-8.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +19,6 @@ QUAD_EPSABS = 1e-8
 QUAD_EPSREL = 1e-10
 QUAD_LIMIT = 200
 GAUSSIAN_SUPPORT_SDS = 12.0
-DEFAULT_NORM_TOLERANCE = 1e-6
-
-PSI_POWER = "power"
-PSI_LINEAR = "linear"
-PSI_CUSTOM = "custom"
 
 
 class QuadratureError(RuntimeError):
@@ -34,20 +29,17 @@ class QuadratureError(RuntimeError):
 class DensityFn:
     """A probability density given by an evaluator and a finite support hint.
 
-    The support hint bounds where the mass lives (quadrature over it must
-    give 1 within norm_tolerance); evaluators may be nonzero only inside.
+    The support hint bounds where the mass lives; evaluators may be
+    nonzero only inside.
     """
 
     evaluator: object
     support_hint: tuple
-    norm_tolerance: float = DEFAULT_NORM_TOLERANCE
 
     def __post_init__(self):
         lo, hi = self.support_hint
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"support hint must be a finite interval, got {self.support_hint}")
-        if self.norm_tolerance <= 0:
-            raise ValueError("norm_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -55,8 +47,6 @@ class PsiSequence:
     """A positive scaling sequence indexed by integer steps t >= 1."""
 
     evaluator: object
-    tag: str = PSI_CUSTOM
-    param: float | None = None
 
     def at(self, t: int) -> float:
         if int(t) != t or t < 1:
@@ -125,16 +115,12 @@ def power_sequence(a: float) -> PsiSequence:
     """psi_t = a^t, the multiplicative (autonomous) family."""
     if a <= 0:
         raise ValueError(f"base must be positive, got {a}")
-    return PsiSequence(lambda t: a**t, tag=PSI_POWER, param=float(a))
+    return PsiSequence(lambda t: a**t)
 
 
 def linear_sequence() -> PsiSequence:
     """psi_t = t."""
-    return PsiSequence(lambda t: float(t), tag=PSI_LINEAR)
-
-
-def custom_sequence(fn) -> PsiSequence:
-    return PsiSequence(fn, tag=PSI_CUSTOM)
+    return PsiSequence(lambda t: float(t))
 
 
 def triangle_test_function(half_width: float = 1.0, center: float = 0.0) -> TestFunction:
@@ -272,19 +258,6 @@ def moment_scaling_predict(amap: AnalyticMap, k: int, t: int, nu_k_0: float) -> 
     return amap.psi.at(t) ** (-int(k)) * nu_k_0
 
 
-def even_moment_bound(amap: AnalyticMap, k: int, t: int, nu_2k_0: float) -> float:
-    """Upper bound psi_t^(-2k) * nu_2k_0 on the order-2k moment at step t.
-
-    Under the exact scaling map the bound holds with equality; for runs
-    that only approximately follow the map it remains a checkable ceiling.
-    """
-    if int(k) < 1:
-        raise ValueError(f"moment order must be a positive integer, got {k}")
-    if nu_2k_0 < 0:
-        raise ValueError("even-order base moment cannot be negative")
-    return amap.psi.at(t) ** (-2 * int(k)) * nu_2k_0
-
-
 def envelope_step(scale: float, dimension: int = 1):
     """One-step density transformation D(f)(x) = scale^n * f(scale * x)."""
     if scale <= 0:
@@ -317,27 +290,3 @@ def operator_norm_lower_bound(transform, interval, q=None, breakpoints=None) -> 
     pts = list(breakpoints) if breakpoints is not None else [lo, hi, 0.0]
     value = _quad(lambda x: float(image(x)), lo, hi, points=pts)
     return float(value)
-
-
-def verify_transformation(transform, f: DensityFn, support=None, grid_points: int = 2001) -> bool:
-    """Check that a one-step transformation maps f to a valid density.
-
-    Two computable conditions: the image is nonnegative on a dense grid
-    over the support, and its quadrature norm is 1 within f's tolerance.
-    The support must cover the image's mass; pass one explicitly when the
-    transformation moves mass outside the base support. Failures (including
-    quadrature breakdown) return False rather than raising.
-    """
-    if grid_points < 3:
-        raise ValueError("grid must have at least 3 points")
-    lo, hi = support if support is not None else f.support_hint
-    image = transform(f.evaluator)
-    grid = np.linspace(lo, hi, grid_points)
-    for x in grid:
-        if float(image(x)) < 0.0:
-            return False
-    try:
-        norm = _quad(lambda x: float(image(x)), lo, hi, points=(0.0, *f.support_hint))
-    except QuadratureError:
-        return False
-    return 1.0 - f.norm_tolerance <= norm <= 1.0 + f.norm_tolerance

@@ -2,9 +2,8 @@
 
 Everything measurable about a residual sample lives here: the empirical
 CDF with its distribution-free DKW confidence band, a point-density
-estimate (Gaussian KDE with Silverman bandwidth, plus a histogram
-cross-check), interval masses, and raw moments with saturation-aware
-high-order sums.
+estimate (Gaussian KDE with Silverman bandwidth), interval masses, and
+raw moments with saturation-aware high-order sums.
 """
 
 import math
@@ -153,27 +152,6 @@ class EmpiricalDistribution:
             return SPIKE
         u = (x - self._sample) / h
         return float(np.exp(-0.5 * u * u).sum() / (self.n * h * math.sqrt(2.0 * math.pi)))
-
-    def density_at_histogram(self, x: float, bins: int | None = None):
-        """Histogram cross-check estimator for the point density.
-
-        Equal-width bins over the sample range; the density is the
-        count/(N*width) bin height linearly interpolated between bin
-        centers. Secondary to the KDE; used to cross-validate it.
-        """
-        if self.n < MIN_DENSITY_POINTS:
-            raise InsufficientSampleError(
-                f"density needs N >= {MIN_DENSITY_POINTS} points, got {self.n}"
-            )
-        lo, hi = self._sample[0], self._sample[-1]
-        if hi == lo:
-            return SPIKE
-        if bins is None:
-            bins = max(10, int(round(math.sqrt(self.n))))
-        counts, edges = np.histogram(self._sample, bins=bins, range=(lo, hi))
-        heights = counts / (self.n * (edges[1] - edges[0]))
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        return float(np.interp(x, centers, heights, left=0.0, right=0.0))
 
     def raw_moment(self, k: int) -> float:
         """k-th raw moment (1/N) * sum(sample**k), in extended precision."""

@@ -5,6 +5,7 @@ normality testing, the robust log-linear autonomy fit, and the
 Breusch-Pagan homoscedasticity check on fit residuals.
 """
 
+import dataclasses
 import math
 import numbers
 import warnings
@@ -74,7 +75,6 @@ class DiagnosticsReport:
     psi_trace = property(lambda self: self.mean("psi"))
     stddev_trace = property(lambda self: self.mean("stddev"))
     moment_l1_trace = property(lambda self: self.mean("moment_l1"))
-    normality_pvalues = property(lambda self: self.mean("normality_p"))
     interval_masses = property(
         lambda self: {kap: self.mean(f"mass@{kap:.10g}") for kap in self.kappa_list}
     )
@@ -231,7 +231,7 @@ def autonomy_fit(steps, psi_values, segment=None, delta: float = 1.35) -> Autono
     if segment is None:
         segment = (float(t_all.min()), float(t_all.max()))
     lo, hi = segment
-    t_list, v_list, n_excluded = [], [], []
+    t_list, v_list = [], []
     excluded = 0
     for t, v in zip(t_all, raw):
         if not (lo <= t <= hi):
@@ -281,13 +281,6 @@ class SurfaceResult:
     std: np.ndarray
     errors: dict
 
-    def cell(self, p: float, s: float) -> float:
-        try:
-            i, j = self.p_grid.index(p), self.s_grid.index(s)
-        except ValueError as exc:
-            raise KeyError(f"({p}, {s}) is not a grid point") from exc
-        return float(self.mean[i, j])
-
 
 def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceResult:
     """Run the loop over a (usage, adherence) grid.
@@ -307,7 +300,7 @@ def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceRes
     if not p_grid or not s_grid:
         raise ValueError("grids must be nonempty")
     cells = [(i, j) for i in range(len(p_grid)) for j in range(len(s_grid))]
-    configs = [engine.replace_config(config, usage_p=p_grid[i], adherence_s=s_grid[j])
+    configs = [dataclasses.replace(config, usage_p=p_grid[i], adherence_s=s_grid[j])
                for i, j in cells]
     # only stddev is read, so skip derive_kappas and its throwaway initial
     # fit, and every optional probe statistic

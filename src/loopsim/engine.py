@@ -159,11 +159,6 @@ class LoopConfig:
         return w
 
 
-def replace_config(config: LoopConfig, **changes) -> LoopConfig:
-    """Copy a config with fields replaced; revalidates the result."""
-    return dataclasses.replace(config, **changes)
-
-
 # one row per loop step: step_t, the drawn item, its true target, the
 # prediction, the sampled replacement, whether it replaced the target, and
 # the residual y_true - y_pred
@@ -193,7 +188,6 @@ class LoopState:
     reserve_pos: int
     ring_pos: int
     step_t: int
-    round_r: int
     model: TrainedModel | None
     sigma2: float
     record: np.recarray
@@ -202,10 +196,6 @@ class LoopState:
     @property
     def window_size(self) -> int:
         return int(self.targets.size)
-
-    @property
-    def reserve_remaining(self) -> int:
-        return int(self.reserve_targets.size - self.reserve_pos)
 
     @property
     def replaced_count(self) -> int:
@@ -294,7 +284,6 @@ def init_state(data: Dataset, config: LoopConfig, rng=None, retrain: bool = True
         reserve_pos=0,
         ring_pos=0,
         step_t=0,
-        round_r=0,
         model=None,
         sigma2=0.0,
         record=np.zeros(config.total_steps, STEP_RECORD).view(np.recarray),
@@ -343,7 +332,6 @@ def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> np.recor
     row = state.step_t
     state.step_t += 1
     state.record[row] = (state.step_t, item, y_true, y_pred, z, used, y_true - y_pred)
-    state.round_r = state.step_t // config.retrain_period
     if retrain and state.step_t % config.retrain_period == 0:
         _retrain(state, config)
     return state.record[row]
@@ -552,7 +540,7 @@ def run_many(
         except ValueError as exc:
             reports[index] = exc
             continue
-        shared = replace_config(config, usage_p=0.0, adherence_s=0.0, seed=0, repeats=1)
+        shared = dataclasses.replace(config, usage_p=0.0, adherence_s=0.0, seed=0, repeats=1)
         for repeat, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.repeats)):
             groups.setdefault(shared, []).append((index, repeat, child))
     chunks = []

@@ -38,7 +38,6 @@ from loopsim.data import (
     generate_friedman1,
     generate_linear,
     read_dataset,
-    write_dataset,
 )
 from loopsim.diagnostics import autonomy_fit, stddev_surface
 from loopsim.engine import (
@@ -46,7 +45,6 @@ from loopsim.engine import (
     SETTING_SAMPLING,
     SETTING_SLIDING,
     LoopConfig,
-    replace_config,
     run,
 )
 
@@ -75,7 +73,7 @@ class ConfigError(ValueError):
 
 
 class IntegrityError(RuntimeError):
-    """A manifest's recorded hash does not match the file on disk."""
+    """A manifest is not a JSON object, or a hash it records does not match."""
 
 
 def _fmt(value: float) -> str:
@@ -314,7 +312,7 @@ def build_config(raw: dict) -> ExperimentConfig:
             loop_config = config.loop_config()
             if experiment == "sweep":
                 for p, s in itertools.product(config.usage_grid, config.adherence_grid):
-                    replace_config(loop_config, usage_p=p, adherence_s=s)
+                    dataclasses.replace(loop_config, usage_p=p, adherence_s=s)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not config.dataset:
@@ -664,7 +662,12 @@ def config_from_manifest(path) -> ExperimentConfig:
 
 
 def _verify_manifest(manifest_path: Path) -> dict:
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError:
+        manifest = None
+    if not isinstance(manifest, dict):
+        raise IntegrityError(f"{manifest_path}: not valid JSON")
     base = manifest_path.parent
     for name, recorded in manifest.get("content_hashes", {}).items():
         target = base / name

@@ -33,16 +33,7 @@ class TrainedModel:
     weights: np.ndarray
     intercept: float
     solver: str
-    regularization: float = 0.0
     iterations_used: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "weights": [float(v) for v in self.weights],
-            "intercept": float(self.intercept),
-            "solver": self.solver,
-            "regularization": float(self.regularization),
-        }
 
 
 def _as_xy(features, targets):
@@ -136,7 +127,7 @@ def fit_sgd_lanes(
         if live.size == 0:
             break
     return [
-        TrainedModel(W[lane].copy(), float(B[lane]), SOLVER_SGD, 0.0, int(epochs[lane]))
+        TrainedModel(W[lane].copy(), float(B[lane]), SOLVER_SGD, int(epochs[lane]))
         for lane in range(lanes)
     ]
 
@@ -169,7 +160,7 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
         ) from exc
     b = y_mean - x_mean @ w
     solver = SOLVER_RIDGE_EXACT if regularization == 0 else SOLVER_RIDGE_REGULARIZED
-    return TrainedModel(w, float(b), solver, float(regularization), 1)
+    return TrainedModel(w, float(b), solver, 1)
 
 
 def fit_huber_line(ts, vs, delta: float = 1.35) -> TrainedModel:
@@ -208,7 +199,7 @@ def fit_huber_line(ts, vs, delta: float = 1.35) -> TrainedModel:
         slope, intercept = new_slope, new_intercept
         if change < 1e-10:
             break
-    return TrainedModel(np.array([slope]), float(intercept), SOLVER_HUBER_LINE, 0.0, iterations)
+    return TrainedModel(np.array([slope]), float(intercept), SOLVER_HUBER_LINE, iterations)
 
 
 def predict(model: TrainedModel, features) -> np.ndarray:

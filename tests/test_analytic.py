@@ -2,20 +2,18 @@
 
 import math
 
-import numpy as np
 import pytest
 from scipy import integrate
 
 from loopsim.analytic import (
     AnalyticMap,
     DensityFn,
+    PsiSequence,
     QuadratureError,
     apply_map,
     autonomy_check,
-    custom_sequence,
     envelope_norm,
     envelope_step,
-    even_moment_bound,
     gaussian_density,
     linear_sequence,
     moment_scaling_predict,
@@ -24,7 +22,6 @@ from loopsim.analytic import (
     transformed_support,
     triangle_test_function,
     uniform_density,
-    verify_transformation,
     weak_limit_probe,
 )
 
@@ -116,7 +113,7 @@ def test_autonomy_check_rejects_linear_sequence():
 
 def test_autonomy_check_custom_borderline():
     # a*t fails; a^t with tiny wobble passes only within its tolerance
-    wob = custom_sequence(lambda t: 1.5**t * (1.0 + 1e-12))
+    wob = PsiSequence(lambda t: 1.5**t * (1.0 + 1e-12))
     assert autonomy_check(wob, horizon=10, rel_tol=1e-9).autonomous
     assert not autonomy_check(wob, horizon=10, rel_tol=1e-16).autonomous
 
@@ -138,7 +135,7 @@ def test_psi_sequence_rejects_bad_queries():
         seq.at(0)
     with pytest.raises(ValueError):
         seq.at(-1)
-    bad = custom_sequence(lambda t: 0.0)
+    bad = PsiSequence(lambda t: 0.0)
     with pytest.raises(ValueError):
         bad.at(3)
 
@@ -158,15 +155,6 @@ def test_moment_scaling_prediction_matches_quadrature():
                 assert abs(got - pred) / pred < 1e-6
             else:
                 assert abs(got - pred) < 1e-9
-
-
-def test_even_moment_bound_dominates_sample_average():
-    # for the pure envelope map the bound is exact, so it must match the
-    # scaled moment and stay nonnegative
-    amap = gauss_map(1.2)
-    for t in (1, 10):
-        bound = even_moment_bound(amap, 2, t, nu_2k_0=3.0)
-        assert bound == pytest.approx(1.2 ** (-4 * t) * 3.0, rel=1e-12)
 
 
 def test_moment_scaling_decay_and_growth_direction():
@@ -194,22 +182,6 @@ def test_operator_norm_lower_bound_validates_interval():
         operator_norm_lower_bound(lambda f: f, (1.0, 1.0))
     with pytest.raises(ValueError):
         operator_norm_lower_bound(lambda f: f, (2.0, -2.0))
-
-
-def test_verify_transformation_accepts_envelope():
-    f = gaussian_density(0.0, 1.0)
-    assert verify_transformation(envelope_step(1.5), f)
-    assert verify_transformation(envelope_step(0.5), f)
-
-
-def test_verify_transformation_rejects_mass_leak():
-    f = gaussian_density(0.0, 1.0)
-    assert not verify_transformation(lambda g: (lambda x: 0.7 * g(x)), f)
-
-
-def test_verify_transformation_rejects_negative_output():
-    f = uniform_density(-1.0, 1.0)
-    assert not verify_transformation(lambda g: (lambda x: g(x) - 0.1), f)
 
 
 def test_density_fn_validates_support():

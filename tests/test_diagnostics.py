@@ -321,14 +321,6 @@ def test_surface_zero_usage_rows_do_not_depend_on_s(surface_inputs):
     assert np.allclose(row, row[0])
 
 
-def test_surface_cell_accessor(surface_inputs):
-    data, base = surface_inputs
-    surf = stddev_surface(data, (0.0, 1.0), (0.0, 2.0), base)
-    assert surf.cell(1.0, 2.0) == surf.mean[1, 1]
-    with pytest.raises(KeyError):
-        surf.cell(0.7, 2.0)
-
-
 def test_surface_collects_cell_errors():
     # a window too small to fit a model: the cell must fail in isolation
     data = generate_linear(12, 40, noise_variance=1.0, seed=22)

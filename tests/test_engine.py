@@ -19,7 +19,6 @@ from loopsim.engine import (
     LoopComplete,
     LoopConfig,
     init_state,
-    replace_config,
     run,
     run_many,
     step,
@@ -99,9 +98,8 @@ def test_init_sliding_split_sizes():
     c = cfg(setting=SETTING_SLIDING, total_steps=1400)
     st = init_state(data, c, np.random.default_rng(0))
     assert st.window_size == 600
-    assert st.reserve_remaining == 1400
+    assert st.reserve_targets.size - st.reserve_pos == 1400
     assert st.step_t == 0
-    assert st.round_r == 0
     assert st.sigma2 >= 0.0
 
 
@@ -112,7 +110,7 @@ def test_init_sliding_tiny_dataset():
             model="ridge_regularized", regularization=0.1)
     st = init_state(data, c, np.random.default_rng(0))
     assert st.window_size == 3
-    assert st.reserve_remaining == 7
+    assert st.reserve_targets.size - st.reserve_pos == 7
 
 
 def test_init_sliding_rejects_overlong_run():
@@ -148,7 +146,7 @@ def test_init_state_sampling_keeps_identity_order_and_draws_nothing():
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
     st = init_state(data, c, rng)
     assert np.array_equal(st.item_indices, [0, 1])
-    assert st.reserve_remaining == 0
+    assert st.reserve_targets.size - st.reserve_pos == 0
     assert st.reserve_indices.size == 0
     ref.permutation(2)  # the retrain split
     assert rng.random() == ref.random()
@@ -221,7 +219,7 @@ def test_step_sliding_consumes_reserve_and_signals_completion():
     st = init_state(data, c, np.random.default_rng(3))
     for _ in range(14):
         step(st, c)
-    assert st.reserve_remaining == 0
+    assert st.reserve_targets.size - st.reserve_pos == 0
     with pytest.raises(LoopComplete):
         step(st, c)
 
@@ -240,12 +238,14 @@ def test_retrain_cadence():
     data = generate_linear(60, 3, noise_variance=1.0, seed=7)
     c = cfg(total_steps=40, retrain_period=10)
     st = init_state(data, c, np.random.default_rng(5))
-    rounds = [st.round_r]
+    refits = []
     for _ in range(40):
+        before = st.model
         step(st, c)
-        rounds.append(st.round_r)
-    # round_r = floor(step_t / T)
-    assert rounds == [t // 10 for t in range(41)]
+        if st.model is not before:
+            refits.append(st.step_t)
+    # the model is replaced exactly when step_t is a multiple of T
+    assert refits == [10, 20, 30, 40]
 
 
 def test_used_prediction_frequency_band():
@@ -336,8 +336,9 @@ def test_run_records_masses_and_moments():
 def test_run_normality_pvalues_present_for_large_windows():
     data = generate_linear(100, 3, noise_variance=1.0, seed=13)
     rep = run(data, cfg(total_steps=100, repeats=2, adherence_s=1.0))
-    assert np.all(np.isfinite(rep.normality_pvalues))
-    assert np.all((rep.normality_pvalues >= 0) & (rep.normality_pvalues <= 1))
+    pvalues = rep.mean("normality_p")
+    assert np.all(np.isfinite(pvalues))
+    assert np.all((pvalues >= 0) & (pvalues <= 1))
 
 
 def test_run_keeps_probing_past_two_to_the_53():
@@ -395,7 +396,7 @@ def _sgd_cells():
     base = cfg(setting=SETTING_SLIDING, total_steps=60, model="sgd", sgd_iterations=8,
                retrain_period=5, probe_every=10, repeats=2)
     cells = ((1.0, 0.0, 5), (0.5, 2.0, 5), (0.8, 1.0, 6))
-    return data, [replace_config(base, usage_p=p, adherence_s=s, seed=seed)
+    return data, [dataclasses.replace(base, usage_p=p, adherence_s=s, seed=seed)
                   for p, s, seed in cells]
 
 
@@ -458,10 +459,13 @@ def test_a_failing_sgd_lane_leaves_its_chunk_mates_alone(workers, monkeypatch):
 
 def test_replace_config():
     c = cfg(total_steps=100)
-    d = replace_config(c, total_steps=50, adherence_s=2.0)
+    d = dataclasses.replace(c, total_steps=50, adherence_s=2.0)
     assert d.total_steps == 50
     assert d.adherence_s == 2.0
     assert d.setting == c.setting
+    # the copy is validated like a fresh config
+    with pytest.raises(ValueError, match="usage_p"):
+        dataclasses.replace(c, usage_p=1.5)
 
 
 # -- probes at float extremes ------------------------------------------

@@ -306,6 +306,15 @@ def test_report_detects_tampering(trace_run, tmp_path):
         report([result.manifest_path], tmp_path / "never")
 
 
+@pytest.mark.parametrize("body", ["{'config_hash': 1}", "[1, 2]"])
+def test_cli_report_names_a_manifest_that_is_not_a_json_object(tmp_path, capsys, body):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(body, encoding="utf-8")
+    code = cli.main(["report", str(manifest), "--out-dir", str(tmp_path / "merged")])
+    assert code == 1
+    assert capsys.readouterr().err == f"integrity error: {manifest}: not valid JSON\n"
+
+
 def _written_stats(experiment) -> set:
     """The trace.csv statistics of a trace experiment, the masses aside."""
     return {"psi", "stddev"} | {column for name in EXPERIMENT_STATS[experiment]

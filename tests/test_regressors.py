@@ -137,20 +137,12 @@ def test_huber_line_resists_one_outlier():
 
 def test_predict_and_mse():
     m = TrainedModel(weights=np.array([2.0, -1.0]), intercept=0.5,
-                     solver=SOLVER_RIDGE_EXACT, regularization=0.0,
-                     iterations_used=0)
+                     solver=SOLVER_RIDGE_EXACT, iterations_used=0)
     X = np.array([[1.0, 1.0], [0.0, 2.0]])
     got = predict(m, X)
     assert np.allclose(got, [1.5, -1.5])
     assert mse(m, X, np.array([1.5, -1.5])) == 0.0
     assert mse(m, X, np.array([2.5, -1.5])) == pytest.approx(0.5)
-
-
-def test_trained_model_json_dict():
-    m = fit_ridge(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), 0.0)
-    d = m.to_json_dict()
-    assert d["solver"] == SOLVER_RIDGE_EXACT
-    assert isinstance(d["weights"], list)
 
 
 def test_fit_rejects_mismatched_lengths():
