@@ -4,11 +4,14 @@ A model is trained on an active set, its predictions replace targets with
 probability ``usage_p`` (noised by adherence ``s`` times the holdout MSE),
 and the model is refit on a schedule. Two update protocols are supported:
 
-* ``sliding_window``: the active set is a fixed-size FIFO window; each step
-  consumes one fresh item from a permuted reserve and evicts the oldest
-  active item. The process ends when the reserve runs out.
+* ``sliding_window``: the active set is a fixed-size FIFO window over a
+  permutation of the rows; each step takes in the first row past the
+  window and evicts the oldest. The process ends when the rows run out.
 * ``sampling_update``: the active set is the whole dataset; each step draws
-  one item uniformly and overwrites its target in place.
+  one row uniformly.
+
+Either way a step may overwrite the target of its one row; the protocols
+differ only in which row that is.
 
 Each step writes one row of the state's step record (``STEP_RECORD``):
 the drawn item, its target, the prediction, the sampled value, whether it
@@ -171,22 +174,22 @@ STEP_RECORD = np.dtype([
 
 @dataclass
 class LoopState:
-    """Mutable state of one run: active set, reserve, model, step record.
+    """Mutable state of one run: the data in draw order, model, step record.
 
-    For sliding windows the active arrays form a ring whose oldest slot is
-    ring_pos; the reserve arrays hold the not-yet-consumed items in the
-    (already permuted) order they will be drawn. record is a STEP_RECORD
-    recarray of total_steps rows, of which the first step_t are written.
+    features, targets and item_indices hold all rows of the dataset, in a
+    random permutation for a sliding window and in dataset order for a
+    sampling run; only targets are ever written. The active set is the
+    first window_size rows for a sampling run and rows [step_t, step_t +
+    window_size) for a sliding window, so the rows past it are the
+    unconsumed reserve. record is a STEP_RECORD recarray of total_steps
+    rows, of which the first step_t are written.
     """
 
     features: np.ndarray
     targets: np.ndarray
     item_indices: np.ndarray
-    reserve_features: np.ndarray
-    reserve_targets: np.ndarray
-    reserve_indices: np.ndarray
-    reserve_pos: int
-    ring_pos: int
+    window_size: int
+    sliding: bool
     step_t: int
     model: TrainedModel | None
     sigma2: float
@@ -194,15 +197,25 @@ class LoopState:
     rng: np.random.Generator
 
     @property
-    def window_size(self) -> int:
-        return int(self.targets.size)
-
-    @property
     def replaced_count(self) -> int:
         return int(np.count_nonzero(self.record.used_prediction[: self.step_t]))
 
+    def active_rows(self) -> np.ndarray:
+        """The rows of the active set, one per window slot.
+
+        A sliding window is a ring buffer: slot s holds the one active row
+        congruent to s mod window_size, so step t puts its row into slot
+        t mod window_size, in place of the row it evicts.
+        """
+        slots = np.arange(self.window_size)
+        if not self.sliding:
+            return slots
+        t = self.step_t
+        return t + (slots - t) % self.window_size
+
     def residuals(self) -> np.ndarray:
-        return self.targets - predict(self.model, self.features)
+        rows = self.active_rows()
+        return self.targets[rows] - predict(self.model, self.features[rows])
 
 
 def _attempt(fit, *args):
@@ -224,10 +237,10 @@ def _refit(states: list, config: LoopConfig) -> list:
     splits = []
     for state in states:
         w = state.window_size
-        order = state.rng.permutation(w)
+        rows = state.active_rows()[state.rng.permutation(w)]
         n_train = max(2, int(config.train_fraction * w + 1e-9))
         n_hold = max(1, int(config.holdout_fraction * w + 1e-9))
-        splits.append((order[:n_train], order[w - n_hold :]))
+        splits.append((rows[:n_train], rows[w - n_hold :]))
     xs = [state.features[train] for state, (train, _) in zip(states, splits)]
     ys = [state.targets[train] for state, (train, _) in zip(states, splits)]
     if config.model == SOLVER_SGD:
@@ -258,14 +271,14 @@ def _retrain(state: LoopState, config: LoopConfig) -> None:
 
 
 def init_state(data: Dataset, config: LoopConfig, rng=None, retrain: bool = True) -> LoopState:
-    """Set up a run: the active set, the reserve, and the first fit.
+    """Set up a run: the data in draw order and the first fit.
 
-    A sliding window samples its active set and permutes the other items
-    into the reserve; total_steps must fit inside that reserve (the window
-    never shrinks or grows). A sampling run works on the whole dataset in
-    its own order with an empty reserve and draws nothing from rng. When
-    rng is omitted it is seeded from config.seed. With retrain=False the
-    first fit is left to the caller, which must make it before stepping.
+    A sliding window permutes all rows; the first window_size of them are
+    the active set and the rest are drawn in order, so total_steps must
+    fit inside that reserve (the window never shrinks or grows). A sampling
+    run keeps the dataset order and draws nothing from rng. When rng is
+    omitted it is seeded from config.seed. With retrain=False the first
+    fit is left to the caller, which must make it before stepping.
     """
     m = data.n_rows
     sliding = config.setting == SETTING_SLIDING
@@ -273,16 +286,12 @@ def init_state(data: Dataset, config: LoopConfig, rng=None, retrain: bool = True
     if rng is None:
         rng = np.random.default_rng(config.seed)
     order = rng.permutation(m) if sliding else np.arange(m)
-    active, reserve = order[:w], order[w:]
     state = LoopState(
-        features=data.features[active],
-        targets=data.targets[active],
-        item_indices=active,
-        reserve_features=data.features[reserve],
-        reserve_targets=data.targets[reserve],
-        reserve_indices=reserve,
-        reserve_pos=0,
-        ring_pos=0,
+        features=data.features[order],
+        targets=data.targets[order],
+        item_indices=order,
+        window_size=w,
+        sliding=sliding,
         step_t=0,
         model=None,
         sigma2=0.0,
@@ -295,46 +304,36 @@ def init_state(data: Dataset, config: LoopConfig, rng=None, retrain: bool = True
 
 
 def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> np.record:
-    """Advance the loop by one item; retrains when the schedule says so.
+    """Advance the loop by one row; retrains when the schedule says so.
 
-    Raises LoopComplete once the loop has taken config.total_steps steps.
-    Writes and returns the step's row of state.record: the drawn item, the
-    prediction, the sampled replacement value, and whether it was used.
-    With retrain=False a scheduled refit is left to the caller.
+    The step's row is the first one past a sliding window, or a uniform
+    draw from the sampling set; its target becomes the sampled value when
+    the prediction is used. Raises LoopComplete once the loop has taken
+    config.total_steps steps. Writes and returns the step's row of
+    state.record: the drawn item, the prediction, the sampled replacement
+    value, and whether it was used. With retrain=False a scheduled refit is
+    left to the caller.
     """
     if state.step_t >= config.total_steps:
         raise LoopComplete(f"loop complete after {state.step_t} steps")
     rng = state.rng
-    sliding = config.setting == SETTING_SLIDING
-    if sliding:
-        pos = state.reserve_pos
-        x = state.reserve_features[pos]
-        y_true = float(state.reserve_targets[pos])
-        item = int(state.reserve_indices[pos])
-        slot = state.ring_pos
+    if state.sliding:
+        row = state.window_size + state.step_t
     else:
-        slot = int(rng.integers(state.window_size))
-        x = state.features[slot]
-        y_true = float(state.targets[slot])
-        item = int(state.item_indices[slot])
-    y_pred = float(predict(state.model, x.reshape(1, -1))[0])
+        row = int(rng.integers(state.window_size))
+    y_true = float(state.targets[row])
+    item = int(state.item_indices[row])
+    y_pred = float(predict(state.model, state.features[row].reshape(1, -1))[0])
     z = float(rng.normal(y_pred, math.sqrt(config.adherence_s * state.sigma2)))
     used = bool(rng.random() < config.usage_p)
-    new_target = z if used else y_true
-    if sliding:
-        state.features[slot] = x
-        state.targets[slot] = new_target
-        state.item_indices[slot] = item
-        state.ring_pos = (slot + 1) % state.window_size
-        state.reserve_pos += 1
-    else:
-        state.targets[slot] = new_target
-    row = state.step_t
+    if used:
+        state.targets[row] = z
+    t = state.step_t
     state.step_t += 1
-    state.record[row] = (state.step_t, item, y_true, y_pred, z, used, y_true - y_pred)
+    state.record[t] = (state.step_t, item, y_true, y_pred, z, used, y_true - y_pred)
     if retrain and state.step_t % config.retrain_period == 0:
         _retrain(state, config)
-    return state.record[row]
+    return state.record[t]
 
 
 def _resolve_probes(config: LoopConfig, probes) -> list[int]:

@@ -386,10 +386,9 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _trace_rows(report):
@@ -645,6 +644,8 @@ def config_from_manifest(path) -> ExperimentConfig:
         raise ConfigError(f"manifest not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest is not valid JSON: {path}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest is not a JSON object: {path}")
     version = manifest.get("tool_version")
     if version != loopsim.__version__:
         # another version may produce other bytes from the same config
@@ -661,21 +662,44 @@ def config_from_manifest(path) -> ExperimentConfig:
 # report merging
 
 
+# the manifest fields report reads: key -> (JSON type, its name)
+_MANIFEST_FIELDS = {
+    "config_hash": (str, "a string"),
+    "config_snapshot": (dict, "an object"),
+    "content_hashes": (dict, "an object"),
+    "output_paths": (list, "an array"),
+}
+
+
 def _verify_manifest(manifest_path: Path) -> dict:
+    """The manifest, once every output report would merge checks out.
+
+    IntegrityError names the manifest if it or a field report reads is
+    malformed, and names the output whose hash is missing or mismatched.
+    """
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError:
         manifest = None
     if not isinstance(manifest, dict):
         raise IntegrityError(f"{manifest_path}: not valid JSON")
+    for key, (kind, name) in _MANIFEST_FIELDS.items():
+        if not isinstance(manifest.get(key, kind()), kind):
+            raise IntegrityError(f"{manifest_path}: {key} is not {name}")
+    if not all(isinstance(name, str) for name in manifest.get("output_paths", [])):
+        raise IntegrityError(f"{manifest_path}: output_paths holds a non-string entry")
     base = manifest_path.parent
-    for name, recorded in manifest.get("content_hashes", {}).items():
+    hashes = manifest.get("content_hashes", {})
+    for name, recorded in hashes.items():
         target = base / name
         if not target.exists():
             raise IntegrityError(f"{target}: listed in manifest but missing")
         actual = sha256_file(target)
         if actual != recorded:
             raise IntegrityError(f"{target}: content hash mismatch")
+    for name in manifest.get("output_paths", []):
+        if name in _MERGED_OUTPUTS and name not in hashes:
+            raise IntegrityError(f"{base / name}: listed in output_paths without a content hash")
     return manifest
 
 

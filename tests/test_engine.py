@@ -98,7 +98,9 @@ def test_init_sliding_split_sizes():
     c = cfg(setting=SETTING_SLIDING, total_steps=1400)
     st = init_state(data, c, np.random.default_rng(0))
     assert st.window_size == 600
-    assert st.reserve_targets.size - st.reserve_pos == 1400
+    # the unconsumed reserve: the rows past the active set
+    assert st.targets.size - st.window_size - st.step_t == 1400
+    assert np.array_equal(st.active_rows(), np.arange(600))
     assert st.step_t == 0
     assert st.sigma2 >= 0.0
 
@@ -110,7 +112,7 @@ def test_init_sliding_tiny_dataset():
             model="ridge_regularized", regularization=0.1)
     st = init_state(data, c, np.random.default_rng(0))
     assert st.window_size == 3
-    assert st.reserve_targets.size - st.reserve_pos == 7
+    assert st.targets.size - st.window_size - st.step_t == 7
 
 
 def test_init_sliding_rejects_overlong_run():
@@ -146,8 +148,9 @@ def test_init_state_sampling_keeps_identity_order_and_draws_nothing():
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
     st = init_state(data, c, rng)
     assert np.array_equal(st.item_indices, [0, 1])
-    assert st.reserve_targets.size - st.reserve_pos == 0
-    assert st.reserve_indices.size == 0
+    # the active set is every row, so no reserve is left
+    assert np.array_equal(st.active_rows(), [0, 1])
+    assert st.targets.size - st.window_size == 0
     ref.permutation(2)  # the retrain split
     assert rng.random() == ref.random()
 
@@ -219,7 +222,7 @@ def test_step_sliding_consumes_reserve_and_signals_completion():
     st = init_state(data, c, np.random.default_rng(3))
     for _ in range(14):
         step(st, c)
-    assert st.reserve_targets.size - st.reserve_pos == 0
+    assert st.targets.size - st.window_size - st.step_t == 0
     with pytest.raises(LoopComplete):
         step(st, c)
 
@@ -591,15 +594,21 @@ def test_sliding_window_holds_distinct_items_and_consumes_each_reserve_item_once
     c = cfg(setting=SETTING_SLIDING, total_steps=LOOP_DATA.n_rows - w, usage_p=usage,
             adherence_s=adherence, retrain_period=period)
     state = init_state(LOOP_DATA, c, np.random.default_rng(seed))
-    window = state.item_indices.tolist()
-    reserve = state.reserve_indices.tolist()
+    window = state.item_indices[state.active_rows()].tolist()
+    reserve = state.item_indices[w:].tolist()
     assert sorted(window + reserve) == list(range(LOOP_DATA.n_rows))
+    ring = list(window)
     consumed = []
-    for _ in range(c.total_steps):
+    for t in range(c.total_steps):
         consumed.append(step(state, c).item_index)
-        assert len(set(state.item_indices.tolist())) == w
+        active = state.item_indices[state.active_rows()].tolist()
+        assert len(set(active)) == w
         # the window is the newest w items, the oldest of them evicted first
-        assert set(state.item_indices.tolist()) == set((window + consumed)[-w:])
+        assert set(active) == set((window + consumed)[-w:])
+        # a ring buffer: step t replaces slot t mod w, and the slot order
+        # decides which rows go into the retrain split
+        ring[t % w] = consumed[-1]
+        assert active == ring
     assert consumed == reserve
     with pytest.raises(LoopComplete):
         step(state, c)

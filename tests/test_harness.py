@@ -315,6 +315,37 @@ def test_cli_report_names_a_manifest_that_is_not_a_json_object(tmp_path, capsys,
     assert capsys.readouterr().err == f"integrity error: {manifest}: not valid JSON\n"
 
 
+def test_report_refuses_a_merged_output_without_a_recorded_hash(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("step,repeat,stat_name,value\n0,0,psi,1\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"output_paths": ["trace.csv"]}), encoding="utf-8")
+    with pytest.raises(IntegrityError) as caught:
+        report([manifest], tmp_path / "merged")
+    assert str(caught.value) == f"{trace}: listed in output_paths without a content hash"
+    assert not (tmp_path / "merged" / "merged_traces.csv").exists()
+
+
+@pytest.mark.parametrize("argv, body, code, message", [
+    (["report"], {"content_hashes": [1]}, 1,
+     "integrity error: {manifest}: content_hashes is not an object"),
+    (["report"], {"config_snapshot": "x", "content_hashes": {}}, 1,
+     "integrity error: {manifest}: config_snapshot is not an object"),
+    (["report"], {"config_hash": [1]}, 1,
+     "integrity error: {manifest}: config_hash is not a string"),
+    (["report"], {"output_paths": [["trace.csv"]]}, 1,
+     "integrity error: {manifest}: output_paths holds a non-string entry"),
+    (["run", "--from-manifest"], [1, 2], 2,
+     "config error: manifest is not a JSON object: {manifest}"),
+], ids=["report-content-hashes", "report-config-snapshot", "report-config-hash",
+        "report-output-paths", "rerun-not-an-object"])
+def test_cli_names_a_malformed_manifest(tmp_path, capsys, argv, body, code, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(body), encoding="utf-8")
+    assert cli.main(argv + [str(manifest), "--out-dir", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == message.format(manifest=manifest) + "\n"
+
+
 def _written_stats(experiment) -> set:
     """The trace.csv statistics of a trace experiment, the masses aside."""
     return {"psi", "stddev"} | {column for name in EXPERIMENT_STATS[experiment]
