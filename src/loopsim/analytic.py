@@ -151,17 +151,13 @@ def transformed_support(amap: AnalyticMap, t: int) -> tuple:
     return (lo / psi_t, hi / psi_t)
 
 
-def _quad(fn, lo, hi, points=None) -> float:
+def _quad(fn, lo, hi, points) -> float:
     # imported here: only quadrature needs scipy.integrate, and the run path never does
     from scipy.integrate import quad
 
     if lo >= hi:
         return 0.0
-    pts = None
-    if points is not None:
-        pts = sorted(p for p in points if lo < p < hi)
-        if not pts:
-            pts = None
+    pts = sorted(p for p in points if lo < p < hi) or None
     result = quad(
         fn, lo, hi, points=pts, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
         limit=QUAD_LIMIT, full_output=1,
@@ -258,21 +254,21 @@ def moment_scaling_predict(amap: AnalyticMap, k: int, t: int, nu_k_0: float) -> 
     return amap.psi.at(t) ** (-int(k)) * nu_k_0
 
 
-def envelope_step(scale: float, dimension: int = 1):
-    """One-step density transformation D(f)(x) = scale^n * f(scale * x)."""
+def envelope_step(scale: float):
+    """One-step density transformation D(f)(x) = scale * f(scale * x) on the line."""
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
 
     def transform(f):
         def g(x):
-            return scale**dimension * f(scale * np.asarray(x, dtype=float))
+            return scale * f(scale * np.asarray(x, dtype=float))
 
         return g
 
     return transform
 
 
-def operator_norm_lower_bound(transform, interval, q=None, breakpoints=None) -> float:
+def operator_norm_lower_bound(transform, interval, breakpoints=None) -> float:
     """Lower bound on the q-norm of a one-step density transformation.
 
     Pushes the uniform density on the interval through the transformation
@@ -283,8 +279,6 @@ def operator_norm_lower_bound(transform, interval, q=None, breakpoints=None) -> 
     lo, hi = interval
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"interval must be finite with lo < hi, got {interval}")
-    if q is not None and not (q >= 1):
-        raise ValueError(f"q must lie in [1, inf], got {q}")
     indicator = uniform_density(lo, hi)
     image = transform(indicator.evaluator)
     pts = list(breakpoints) if breakpoints is not None else [lo, hi, 0.0]

@@ -26,7 +26,8 @@ class Dataset:
     """A regression problem: feature matrix, targets, and provenance.
 
     ``weights`` holds the ground-truth linear coefficients when the
-    generator has them (linear), otherwise None.
+    generator has them (linear), otherwise None. Features and targets must
+    be finite: the loop never checks its input rows again.
     """
 
     features: np.ndarray
@@ -48,6 +49,12 @@ class Dataset:
             )
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be nonnegative")
+        for name, values in (("features", self.features), ("targets", self.targets)):
+            bad = np.flatnonzero(~np.isfinite(values.reshape(m, -1)).all(axis=1))
+            if bad.size:
+                raise ValueError(
+                    f"{name} are not finite in {bad.size} row(s), the first is row {bad[0]}"
+                )
 
     @property
     def n_rows(self) -> int:

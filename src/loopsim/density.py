@@ -13,6 +13,10 @@ import numpy as np
 
 # fewest sample points a point-density estimate accepts
 MIN_DENSITY_POINTS = 20
+# the raw-moment orders a probe records as moment_<k>
+MOMENT_ORDERS = (1, 2, 3, 4, 5, 6)
+# the trace column of the interval mass at half-width kappa: MASS_COLUMN.format(kappa)
+MASS_COLUMN = "mass@{:.10g}"
 
 
 class InsufficientSampleError(ValueError):
@@ -164,7 +168,7 @@ class EmpiricalDistribution:
             raise SaturationError(f"moment of order {k} saturated extended precision")
         return float(value)
 
-    def moment_l1_sum(self, n_terms: int = 300) -> MomentSum:
+    def moment_l1_sum(self, n_terms: int) -> MomentSum:
         """Sum of |raw moments| for orders 1..n_terms with saturation guard.
 
         Powers accumulate in extended precision. If adding order k would

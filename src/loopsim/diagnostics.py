@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from loopsim.density import InsufficientSampleError
+from loopsim.density import MASS_COLUMN, MOMENT_ORDERS, InsufficientSampleError
 from loopsim.regressors import fit_huber_line
 
 
@@ -25,15 +25,14 @@ class DiagnosticsReport:
     ``per_repeat`` keeps the raw (repeats x probes) matrices keyed by stat
     name: always "psi", "stddev" and "mass@<kappa>", and "normality_p",
     "moment_l1", "moment_l1_truncated" and "moment_<k>" where the probes
-    computed them (``moment_orders`` is empty when they skipped the raw
-    moments). ``mean`` and ``std`` reduce them over repeats, and the trace
-    properties are their means. ``step_traces`` is the (repeats x
+    computed them. ``mean`` and ``std`` reduce them over repeats, and the
+    trace properties are their means (``moment_traces`` is empty when the
+    probes skipped the raw moments). ``step_traces`` is the (repeats x
     total_steps) recarray of the loop's step records (engine.STEP_RECORD).
     """
 
     probe_steps: list
     kappa_list: list
-    moment_orders: list
     per_repeat: dict
     spike_counts: np.ndarray
     step_traces: np.recarray
@@ -76,11 +75,11 @@ class DiagnosticsReport:
     stddev_trace = property(lambda self: self.mean("stddev"))
     moment_l1_trace = property(lambda self: self.mean("moment_l1"))
     interval_masses = property(
-        lambda self: {kap: self.mean(f"mass@{kap:.10g}") for kap in self.kappa_list}
+        lambda self: {kap: self.mean(MASS_COLUMN.format(kap)) for kap in self.kappa_list}
     )
-    moment_traces = property(
-        lambda self: {k: self.mean(f"moment_{k}") for k in self.moment_orders}
-    )
+    moment_traces = property(lambda self: {
+        k: self.mean(f"moment_{k}") for k in MOMENT_ORDERS if f"moment_{k}" in self.per_repeat
+    })
 
 
 @dataclass(frozen=True)
@@ -216,13 +215,14 @@ def breusch_pagan(residuals, regressor) -> float:
     return float(special.chdtrc(1.0, lm))
 
 
-def autonomy_fit(steps, psi_values, segment=None, delta: float = 1.35) -> AutonomyFit:
+def autonomy_fit(steps, psi_values, segment=None) -> AutonomyFit:
     """Fit ln(density trace) against step with a robust line.
 
     A trace that follows a power sequence is a straight line in log
-    space; the r2 of the robust fit measures how close the run is to
-    that. Nonpositive and degenerate (non-finite or spike) values cannot
-    enter the log and are excluded with a count.
+    space; the r2 of the robust fit (fit_huber_line, at its fixed
+    threshold HUBER_DELTA) measures how close the run is to that.
+    Nonpositive and degenerate (non-finite or spike) values cannot enter
+    the log and are excluded with a count.
     """
     t_all = np.asarray(steps, dtype=float)
     raw = list(psi_values)
@@ -248,7 +248,7 @@ def autonomy_fit(steps, psi_values, segment=None, delta: float = 1.35) -> Autono
         )
     t = np.asarray(t_list)
     log_v = np.log(np.asarray(v_list))
-    line = fit_huber_line(t, log_v, delta=delta)
+    line = fit_huber_line(t, log_v)
     slope = float(line.weights[0])
     intercept = line.intercept
     fitted = slope * t + intercept

@@ -30,7 +30,9 @@ import numpy as np
 
 from loopsim.data import Dataset
 from loopsim.density import (
+    MASS_COLUMN,
     MIN_DENSITY_POINTS,
+    MOMENT_ORDERS,
     SPIKE,
     EmpiricalDistribution,
     SaturationError,
@@ -56,7 +58,6 @@ SETTING_SAMPLING = "sampling_update"
 DEFAULT_WINDOW_FRACTION = {SETTING_SLIDING: 0.3, SETTING_SAMPLING: 1.0}
 DEFAULT_PROBE_EVERY = {SETTING_SLIDING: 10, SETTING_SAMPLING: 100}
 DEFAULT_KAPPA_FRACTIONS = (0.05, 0.1, 0.25, 0.5)
-DEFAULT_MOMENT_ORDERS = (1, 2, 3, 4, 5, 6)
 DEFAULT_MOMENT_L1_TERMS = 300
 
 _MODELS = (SOLVER_SGD, SOLVER_RIDGE_EXACT, SOLVER_RIDGE_REGULARIZED)
@@ -270,21 +271,20 @@ def _retrain(state: LoopState, config: LoopConfig) -> None:
         raise error
 
 
-def init_state(data: Dataset, config: LoopConfig, rng=None, retrain: bool = True) -> LoopState:
+def init_state(data: Dataset, config: LoopConfig, rng: np.random.Generator,
+               retrain: bool = True) -> LoopState:
     """Set up a run: the data in draw order and the first fit.
 
     A sliding window permutes all rows; the first window_size of them are
     the active set and the rest are drawn in order, so total_steps must
     fit inside that reserve (the window never shrinks or grows). A sampling
-    run keeps the dataset order and draws nothing from rng. When rng is
-    omitted it is seeded from config.seed. With retrain=False the first
-    fit is left to the caller, which must make it before stepping.
+    run keeps the dataset order. rng is the run's one stream; run gives
+    each repeat a child of config.seed. With retrain=False the first fit
+    is left to the caller, which must make it before stepping.
     """
     m = data.n_rows
     sliding = config.setting == SETTING_SLIDING
     w = config.check_rows(m)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     order = rng.permutation(m) if sliding else np.arange(m)
     state = LoopState(
         features=data.features[order],
@@ -336,7 +336,10 @@ def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> np.recor
     return state.record[t]
 
 
-def _resolve_probes(config: LoopConfig, probes) -> list[int]:
+def resolve_probes(config: LoopConfig, probes) -> list[int]:
+    """The sorted probe steps: the config's default schedule when probes is
+    None, else probes with step 0 and the final step added; ValueError on
+    a step outside [0, total_steps]."""
     budget = config.total_steps
     if probes is None:
         every = config.resolved_probe_every
@@ -351,7 +354,7 @@ def _resolve_probes(config: LoopConfig, probes) -> list[int]:
 
 
 def _moments(dist, resid, i, res):
-    for order in DEFAULT_MOMENT_ORDERS:
+    for order in MOMENT_ORDERS:
         try:
             res[f"moment_{order}"][i] = dist.raw_moment(order)
         except SaturationError:
@@ -373,7 +376,7 @@ def _normality_p(dist, resid, i, res):
 # trace columns it writes, the function that writes them). Every probe
 # writes spike, psi, stddev and the mass@<kappa> columns.
 OPTIONAL_STATS = {
-    "moments": (tuple(f"moment_{order}" for order in DEFAULT_MOMENT_ORDERS), _moments),
+    "moments": (tuple(f"moment_{order}" for order in MOMENT_ORDERS), _moments),
     "moment_l1": (("moment_l1", "moment_l1_truncated"), _moment_l1),
     "normality_p": (("normality_p",), _normality_p),
 }
@@ -411,7 +414,7 @@ def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, stats):
     exception's message is prefixed with its repeat and step.
     """
     schedule = configs[0]
-    masses = [(f"mass@{kap:.10g}", kap) for kap in kappas]
+    masses = [(MASS_COLUMN.format(kap), kap) for kap in kappas]
     names = ["spike", "psi", "stddev"] + [name for name, _ in masses]
     names += [column for name in stats for column in OPTIONAL_STATS[name][0]]
     res = [{name: np.full(len(probe_steps), np.nan) for name in names} for _ in configs]
@@ -501,6 +504,19 @@ def run(data: Dataset, config: LoopConfig, probes=None, kappa_list=None,
     return report
 
 
+def check_kappas(kappa_list) -> list[float]:
+    """The interval half-widths as a list; ValueError unless each is
+    positive and names its own mass@<kappa> trace column."""
+    kappas = list(kappa_list)
+    if not all(k > 0 for k in kappas):
+        raise ValueError("interval half-widths must be positive")
+    columns = [MASS_COLUMN.format(kap) for kap in kappas]
+    shared = sorted({name for name in columns if columns.count(name) > 1})
+    if shared:
+        raise ValueError(f"interval half-widths {kappas} share the trace columns {shared}")
+    return kappas
+
+
 def run_many(
     data: Dataset,
     configs,
@@ -517,20 +533,19 @@ def run_many(
     per retrain, ridge lanes are fitted one by one. With workers > 1 the
     tasks share one process pool. Every probe writes the core statistics
     and the OPTIONAL_STATS named in stats, by default all of them; an
-    unknown name raises ValueError. Returns
-    one DiagnosticsReport per config, in order, with its repeats' step
+    unknown name raises ValueError, and so do kappas that check_kappas
+    refuses and probes that resolve_probes refuses. Returns one
+    DiagnosticsReport per config, in order, with its repeats' step
     records, or an exception: the config's row-count error (checked before
     any lane runs) or the exception of its first failed repeat.
     """
-    kappas = list(kappa_list)
-    if any(k <= 0 for k in kappas):
-        raise ValueError("interval half-widths must be positive")
+    kappas = check_kappas(kappa_list)
     requested = set(stats)
     unknown = sorted(requested - set(OPTIONAL_STATS))
     if unknown:
         raise ValueError(f"unknown probe statistics {unknown}; known: {list(OPTIONAL_STATS)}")
     stats = tuple(name for name in OPTIONAL_STATS if name in requested)
-    probe_steps = [_resolve_probes(config, probes) for config in configs]
+    probe_steps = [resolve_probes(config, probes) for config in configs]
     reports = [None] * len(configs)
     groups = {}
     for index, config in enumerate(configs):
@@ -575,7 +590,6 @@ def run_many(
         reports[index] = DiagnosticsReport(
             probe_steps=steps,
             kappa_list=kappas,
-            moment_orders=DEFAULT_MOMENT_ORDERS if "moments" in stats else (),
             per_repeat=per_repeat,
             spike_counts=np.sum(spikes, axis=0),
             step_traces=np.stack([record for _, record in mine]).view(np.recarray),

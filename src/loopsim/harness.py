@@ -45,6 +45,8 @@ from loopsim.engine import (
     SETTING_SAMPLING,
     SETTING_SLIDING,
     LoopConfig,
+    check_kappas,
+    resolve_probes,
     run,
 )
 
@@ -272,24 +274,29 @@ _BLANK_DEFAULTS = {
 def build_config(raw: dict) -> ExperimentConfig:
     """Validate a flat string mapping and produce an ExperimentConfig.
 
-    Unknown keys are rejected outright. Loop parameters are checked here,
-    before anything runs, by constructing the engine config (on a sweep,
-    the config of every grid cell).
+    Unknown keys and values that are not strings are rejected outright.
+    Loop parameters are checked here, before anything runs, by the
+    engine's own rules: constructing the engine config (on a sweep, the
+    config of every grid cell), and on a trace experiment resolving its
+    probe steps and checking its kappas.
     """
     unknown = sorted(set(raw) - set(_CODECS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "experiment" not in raw or not raw["experiment"].strip():
+    for key, text in raw.items():
+        if not isinstance(text, str):
+            raise ConfigError(f"{key} must be given as a string, got {text!r}")
+    if not raw.get("experiment", "").strip():
         raise ConfigError("missing required key: experiment")
     values = {}
     for key, text in raw.items():
-        text = text.strip() if isinstance(text, str) else text
+        text = text.strip()
         if text == "" and key in _BLANK_DEFAULTS:
             continue
         if text == "":
             raise ConfigError(f"{key} has an empty value")
-        value = _CODECS[key][0](key, text) if isinstance(text, str) else text
-        if isinstance(text, str) and value == ():
+        value = _CODECS[key][0](key, text)
+        if value == ():
             # "" is the unset form, so an empty list could not round-trip
             raise ConfigError(f"{key} lists no values")
         values[key] = value
@@ -303,16 +310,17 @@ def build_config(raw: dict) -> ExperimentConfig:
     kind = values.get("kind", "linear")
     if kind not in GENERATOR_KINDS:
         raise ConfigError(f"kind must be one of {GENERATOR_KINDS}, got {kind!r}")
-    try:
-        config = ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = ExperimentConfig(**values)
     if experiment != "analytic_demo":
         try:
             loop_config = config.loop_config()
             if experiment == "sweep":
                 for p, s in itertools.product(config.usage_grid, config.adherence_grid):
                     dataclasses.replace(loop_config, usage_p=p, adherence_s=s)
+            else:
+                resolve_probes(loop_config, config.probes)
+                if config.kappas is not None:
+                    check_kappas(config.kappas)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not config.dataset:
@@ -429,6 +437,8 @@ def _resolve_dataset(config: ExperimentConfig) -> Dataset:
             return read_dataset(config.dataset)
         except FileNotFoundError as exc:
             raise ConfigError(f"dataset not found: {config.dataset}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{config.dataset}: {exc}") from exc
     if config.kind == "linear":
         return generate_linear(config.rows, config.cols, config.noise, config.data_seed)
     return generate_friedman1(config.rows, config.cols, config.noise, config.data_seed)
@@ -655,7 +665,10 @@ def config_from_manifest(path) -> ExperimentConfig:
     snapshot = manifest.get("config_snapshot")
     if not isinstance(snapshot, dict):
         raise ConfigError(f"manifest has no config_snapshot: {path}")
-    return build_config(snapshot)
+    try:
+        return build_config(snapshot)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}: {path}") from exc
 
 
 # ---------------------------------------------------------------------------

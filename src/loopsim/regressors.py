@@ -4,7 +4,9 @@ Three solver families drive the loop simulations (per-sample SGD, exact
 ridge via Cholesky on the normal equations, ridge with a fixed penalty)
 plus a robust Huber line fitter used by the autonomy diagnostics. All
 fitters model an unpenalized intercept and are deterministic functions of
-their inputs.
+their inputs. The SGD step schedule (SGD_ETA0, SGD_DECAY) and the Huber
+threshold (HUBER_DELTA) are constants, not options: every caller fits
+with the same ones.
 """
 
 from dataclasses import dataclass
@@ -15,15 +17,16 @@ from scipy.linalg import cho_factor, cho_solve
 SOLVER_SGD = "sgd"
 SOLVER_RIDGE_EXACT = "ridge_exact"
 SOLVER_RIDGE_REGULARIZED = "ridge_regularized"
-SOLVER_HUBER_LINE = "huber_line"
 
 DEFAULT_RIDGE_PENALTY = 0.1
 
-# SGD schedule: eta_t = eta0 / (1 + decay * t) with t the global update
-# counter. The loop dynamics only need a consistent approximate minimizer,
-# not a tuned one.
+# SGD schedule: eta_t = SGD_ETA0 / (1 + SGD_DECAY * t) with t the global
+# update counter. The loop dynamics only need a consistent approximate
+# minimizer, not a tuned one.
 SGD_ETA0 = 0.01
 SGD_DECAY = 1e-3
+
+HUBER_DELTA = 1.35
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,6 @@ class TrainedModel:
 
     weights: np.ndarray
     intercept: float
-    solver: str
     iterations_used: int = 0
 
 
@@ -46,34 +48,21 @@ def _as_xy(features, targets):
     return X, y
 
 
-def fit_sgd(
-    features,
-    targets,
-    max_iterations: int = 50,
-    seed: int = 0,
-    eta0: float = SGD_ETA0,
-    decay: float = SGD_DECAY,
-) -> TrainedModel:
+def fit_sgd(features, targets, max_iterations: int, seed: int) -> TrainedModel:
     """Squared-loss linear fit by per-sample SGD with shuffled passes.
 
-    Pass order is a fresh permutation per epoch from a generator seeded by
-    ``seed``, so the fit is a deterministic function of (data, seed,
-    max_iterations). Never raises on degenerate data; returns the
-    best-effort parameters instead. This is the one-lane call of
-    ``fit_sgd_lanes``.
+    Steps follow the fixed SGD_ETA0/SGD_DECAY schedule. Pass order is a
+    fresh permutation per epoch from a generator seeded by ``seed``, so the
+    fit is a deterministic function of (data, seed, max_iterations); the
+    loop passes LoopConfig.sgd_iterations. Never raises on degenerate data;
+    returns the best-effort parameters instead. This is the one-lane call
+    of ``fit_sgd_lanes``.
     """
     X, y = _as_xy(features, targets)
-    return fit_sgd_lanes(X[None], y[None], max_iterations, [seed], eta0, decay)[0]
+    return fit_sgd_lanes(X[None], y[None], max_iterations, [seed])[0]
 
 
-def fit_sgd_lanes(
-    features,
-    targets,
-    max_iterations: int,
-    seeds,
-    eta0: float = SGD_ETA0,
-    decay: float = SGD_DECAY,
-) -> list[TrainedModel]:
+def fit_sgd_lanes(features, targets, max_iterations: int, seeds) -> list[TrainedModel]:
     """``fit_sgd`` on L independent lanes at once, bit for bit.
 
     features is (L, n, d) and targets (L, n); lane l is fitted with
@@ -103,6 +92,7 @@ def fit_sgd_lanes(
     epochs = np.zeros(lanes, dtype=int)
     live = np.arange(lanes)
     t = 0
+    eta0, decay = SGD_ETA0, SGD_DECAY
     for _ in range(max_iterations):
         orders = np.stack([rngs[lane].permutation(m) for lane in live])
         # (n, L, d) and (n, L): row k holds every live lane's k-th sample
@@ -127,7 +117,7 @@ def fit_sgd_lanes(
         if live.size == 0:
             break
     return [
-        TrainedModel(W[lane].copy(), float(B[lane]), SOLVER_SGD, int(epochs[lane]))
+        TrainedModel(W[lane].copy(), float(B[lane]), int(epochs[lane]))
         for lane in range(lanes)
     ]
 
@@ -138,13 +128,18 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
     Solved in closed form: center X and y, Cholesky-solve the regularized
     normal equations for w, recover the intercept from the means. With
     regularization 0 this is ordinary least squares and raises if the
-    centered Gram matrix is rank deficient.
+    centered Gram matrix is rank deficient. Non-finite targets raise
+    ValueError before any arithmetic; the features are taken to be finite
+    (Dataset checks them once).
     """
     X, y = _as_xy(features, targets)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 training rows")
     if regularization < 0:
         raise ValueError("regularization must be nonnegative")
+    if not np.isfinite(y).all():
+        # a diverged loop's targets; centering them would only warn
+        raise ValueError("training targets are not finite")
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
@@ -159,16 +154,15 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
             f"{rank} < {X.shape[1]} columns"
         ) from exc
     b = y_mean - x_mean @ w
-    solver = SOLVER_RIDGE_EXACT if regularization == 0 else SOLVER_RIDGE_REGULARIZED
-    return TrainedModel(w, float(b), solver, 1)
+    return TrainedModel(w, float(b), 1)
 
 
-def fit_huber_line(ts, vs, delta: float = 1.35) -> TrainedModel:
+def fit_huber_line(ts, vs) -> TrainedModel:
     """Robust line fit v ~ slope * t + intercept under Huber loss.
 
     Iteratively reweighted least squares: weight 1 for residuals within
-    ``delta``, delta/|r| beyond. Converged when the parameter change drops
-    below 1e-10, capped at 100 iterations.
+    HUBER_DELTA, HUBER_DELTA/|r| beyond. Converged when the parameter
+    change drops below 1e-10, capped at 100 iterations.
     """
     t = np.asarray(ts, dtype=float)
     v = np.asarray(vs, dtype=float)
@@ -176,8 +170,6 @@ def fit_huber_line(ts, vs, delta: float = 1.35) -> TrainedModel:
         raise ValueError("ts and vs must be equal-length 1-d sequences")
     if t.size < 3:
         raise ValueError("need at least 3 points")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     if np.ptp(t) == 0:
         raise ValueError("all abscissae identical: slope undefined")
 
@@ -186,8 +178,8 @@ def fit_huber_line(ts, vs, delta: float = 1.35) -> TrainedModel:
     for iterations in range(1, 101):
         resid = v - (slope * t + intercept)
         weights = np.ones_like(resid)
-        mask = np.abs(resid) > delta
-        weights[mask] = delta / np.abs(resid[mask])
+        mask = np.abs(resid) > HUBER_DELTA
+        weights[mask] = HUBER_DELTA / np.abs(resid[mask])
         sw = weights.sum()
         t_bar = (weights * t).sum() / sw
         v_bar = (weights * v).sum() / sw
@@ -199,7 +191,7 @@ def fit_huber_line(ts, vs, delta: float = 1.35) -> TrainedModel:
         slope, intercept = new_slope, new_intercept
         if change < 1e-10:
             break
-    return TrainedModel(np.array([slope]), float(intercept), SOLVER_HUBER_LINE, iterations)
+    return TrainedModel(np.array([slope]), float(intercept), iterations)
 
 
 def predict(model: TrainedModel, features) -> np.ndarray:

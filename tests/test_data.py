@@ -122,6 +122,18 @@ def test_read_dataset_rejects_ragged(tmp_path):
         read_dataset(p)
 
 
+@pytest.mark.parametrize("field, row, bad", [
+    ("features", 3, math.nan), ("features", 0, math.inf), ("targets", 7, -math.inf),
+])
+def test_dataset_rejects_non_finite_values(field, row, bad):
+    d = generate_linear(10, 2, noise_variance=1.0, seed=1)
+    values = {"features": d.features.copy(), "targets": d.targets.copy()}
+    values[field][row] = bad
+    message = rf"^{field} are not finite in 1 row\(s\), the first is row {row}$"
+    with pytest.raises(ValueError, match=message):
+        Dataset(values["features"], values["targets"], "linear", 1.0, 1)
+
+
 def test_dataset_is_frozen():
     d = generate_linear(10, 2, noise_variance=1.0, seed=1)
     with pytest.raises(Exception):

@@ -351,7 +351,7 @@ def test_surface_rejects_out_of_range_grid_before_running(surface_inputs, monkey
 def _report(values):
     matrix = np.array(values, dtype=float)
     return DiagnosticsReport(
-        probe_steps=list(range(matrix.shape[1])), kappa_list=[], moment_orders=[],
+        probe_steps=list(range(matrix.shape[1])), kappa_list=[],
         per_repeat={"moment_l1": matrix}, spike_counts=np.zeros(matrix.shape[1]),
         step_traces=np.zeros((len(matrix), 0), engine.STEP_RECORD).view(np.recarray),
     )

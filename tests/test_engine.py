@@ -5,6 +5,7 @@ import itertools
 import math
 import multiprocessing
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -158,13 +159,14 @@ def test_init_state_sampling_keeps_identity_order_and_draws_nothing():
 def test_init_state_sliding_keeps_its_checks():
     with pytest.raises(ValueError, match="at least 10 rows"):
         init_state(generate_linear(9, 2, noise_variance=1.0, seed=0),
-                   cfg(setting=SETTING_SLIDING, total_steps=1))
+                   cfg(setting=SETTING_SLIDING, total_steps=1), np.random.default_rng(0))
     with pytest.raises(ValueError, match="window of 2 items"):
         init_state(generate_linear(20, 2, noise_variance=1.0, seed=0),
-                   cfg(setting=SETTING_SLIDING, total_steps=1, window_fraction=0.1))
+                   cfg(setting=SETTING_SLIDING, total_steps=1, window_fraction=0.1),
+                   np.random.default_rng(0))
     with pytest.raises(ValueError, match="exceeds the reserve of 70 items"):
         init_state(generate_linear(100, 3, noise_variance=1.0, seed=0),
-                   cfg(setting=SETTING_SLIDING, total_steps=71))
+                   cfg(setting=SETTING_SLIDING, total_steps=71), np.random.default_rng(0))
 
 
 def test_check_rows_owns_the_row_rules():
@@ -334,6 +336,24 @@ def test_run_records_masses_and_moments():
     for k in range(1, 7):
         assert k in rep.moment_traces
     assert rep.moment_l1_trace.shape == rep.psi_trace.shape
+
+
+def test_a_diverged_lane_names_its_non_finite_targets_without_a_warning():
+    # adherence 1e6 on every retrain overflows the window's targets
+    data = generate_linear(200, 3, noise_variance=1.0, seed=42)
+    c = cfg(setting=SETTING_SLIDING, total_steps=140, adherence_s=1e6, retrain_period=1,
+            seed=703, repeats=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            run(data, c, kappa_list=[1.0])
+    assert str(caught.value) == "repeat 0, step 94: training targets are not finite"
+
+
+def test_run_many_refuses_kappas_that_share_a_mass_column():
+    data = generate_linear(60, 3, noise_variance=1.0, seed=1)
+    with pytest.raises(ValueError, match=r"share the trace columns \['mass@0\.5'\]"):
+        run_many(data, [cfg(total_steps=10)], None, [0.5, 0.50000000001])
 
 
 def test_run_normality_pvalues_present_for_large_windows():
@@ -546,12 +566,12 @@ def test_a_subset_of_the_statistics_keeps_the_bits_of_the_full_run(stats_runs, s
         for name, matrix in part.per_repeat.items():
             assert np.array_equal(matrix, whole.per_repeat[name], equal_nan=True), name
         assert np.array_equal(part.spike_counts, whole.spike_counts)
-        assert part.moment_orders == (whole.moment_orders if "moments" in subset else ())
+        assert list(part.moment_traces) == ([1, 2, 3, 4, 5, 6] if "moments" in subset else [])
 
 
 def test_run_many_computes_every_statistic_by_default(stats_runs):
     go, full = stats_runs
-    assert full[0].moment_orders == (1, 2, 3, 4, 5, 6)
+    assert list(full[0].moment_traces) == [1, 2, 3, 4, 5, 6]
     for default, whole in zip(go(), full):
         assert set(default.per_repeat) == set(whole.per_repeat)
         for name, matrix in default.per_repeat.items():

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 
 import loopsim
 from loopsim import cli
-from loopsim.data import generate_linear
-from loopsim.engine import OPTIONAL_STATS, SETTING_SAMPLING, SETTING_SLIDING, run
+from loopsim.data import generate_linear, write_dataset
+from loopsim.engine import OPTIONAL_STATS, SETTING_SAMPLING, SETTING_SLIDING, LoopConfig, run
 from loopsim.harness import (
     EXPERIMENT_STATS,
     EXPERIMENTS,
+    _LOOP_KEYS,
     ConfigError,
     ExperimentConfig,
     IntegrityError,
@@ -147,11 +149,11 @@ def experiment_configs(draw):
     experiment = draw(st.sampled_from(EXPERIMENTS))
     setting = draw(st.sampled_from((SETTING_SAMPLING, SETTING_SLIDING)))
     kind = draw(st.sampled_from(("linear", "friedman1")))
-    ints = st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(tuple)
     fractions = _finite(0.0, 1.0, exclude_min=True, exclude_max=True)
     grid = st.lists(_finite(0.0, 1.0), min_size=1, max_size=4).map(tuple)
     lo = draw(_finite(-1e6, 1e6))
     text = st.text("abcxyz_/.0123456789", max_size=12)
+    steps = draw(st.integers(1, 10**6))
     return ExperimentConfig(
         experiment=experiment,
         dataset=draw(text),
@@ -163,7 +165,7 @@ def experiment_configs(draw):
         setting=setting,
         usage=draw(_finite(0.0, 1.0)),
         adherence=draw(_finite(0.0, 1e3)),
-        steps=draw(st.integers(1, 10**6)),
+        steps=steps,
         retrain_period=draw(st.integers(1, 100)),
         window_fraction=draw(st.none() | (
             _finite(0.0, 1.0, exclude_min=True) if setting == SETTING_SLIDING
@@ -176,8 +178,10 @@ def experiment_configs(draw):
         seed=draw(st.integers(0, 2**32)),
         repeats=draw(st.integers(1, 50)),
         probe_every=draw(st.none() | st.integers(1, 1000)),
-        probes=draw(st.none() | ints),
-        kappas=draw(st.none() | st.lists(_finite(1e-9, 1e3), min_size=1, max_size=4).map(tuple)),
+        probes=draw(st.none() | st.lists(st.integers(0, steps), min_size=1, max_size=4).map(tuple)),
+        # each kappa names its own mass@<kappa> trace column
+        kappas=draw(st.none() | st.lists(_finite(1e-9, 1e3), min_size=1, max_size=4,
+                                         unique_by=lambda k: f"{k:.10g}").map(tuple)),
         usage_grid=draw(grid),
         adherence_grid=draw(grid.map(lambda g: tuple(3.0 * v for v in g))),
         segment=draw(st.none() | _finite(1e-3, 1e6).map(lambda w: (lo, lo + w)))
@@ -195,6 +199,20 @@ def experiment_configs(draw):
 @given(experiment_configs())
 def test_flat_dict_round_trip_is_the_identity(cfg):
     assert build_config(cfg.to_flat_dict()) == cfg
+
+
+def test_experiment_config_restates_the_loop_defaults():
+    # ExperimentConfig keeps its own copy of LoopConfig's defaults, so that
+    # config.txt and the config hash spell every loop key out
+    experiment = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    compared = []
+    for field in dataclasses.fields(LoopConfig):
+        if field.default is dataclasses.MISSING:
+            continue
+        mine = experiment[_LOOP_KEYS.get(field.name, field.name)]
+        assert (mine, type(mine)) == (field.default, type(field.default)), field.name
+        compared.append(field.name)
+    assert len(compared) == 10
 
 
 def test_build_config_rejects_an_empty_list():
@@ -481,6 +499,64 @@ def test_cli_run_rejects_out_of_range_grid_before_running(tmp_path, capsys):
     assert code == 2
     assert "adherence_s must be nonnegative, got -1.0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--kappas", "-1", "interval half-widths must be positive"),
+    ("--kappas", "0", "interval half-widths must be positive"),
+    ("--kappas", "nan", "interval half-widths must be positive"),
+    ("--probes", "0,5000", "probe steps [5000] fall outside [0, 100]"),
+    ("--kappas", "0.5,0.50000000001",
+     "interval half-widths [0.5, 0.50000000001] share the trace columns ['mass@0.5']"),
+], ids=["negative-kappa", "zero-kappa", "nan-kappa", "late-probe", "colliding-kappas"])
+def test_cli_run_rejects_bad_kappas_and_probes_before_any_output(tmp_path, capsys, flag,
+                                                                 value, message):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "density_trace", "--rows", "200", "--steps", "100",
+                     "--repeats", "2", "--workers", "1", flag, value, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [[1, 2], 40.5, 40, None])
+def test_build_config_refuses_a_value_that_is_not_a_string(value):
+    with pytest.raises(ConfigError, match=r"^steps must be given as a string, got "):
+        build_config({**BASE_RAW, "steps": value})
+
+
+def test_cli_from_manifest_names_the_key_and_file_of_a_value_that_is_not_a_string(
+        trace_run, tmp_path, capsys):
+    _cfg, result = trace_run
+    manifest = json.loads(result.manifest_path.read_text(encoding="utf-8"))
+    manifest["config_snapshot"]["steps"] = [1, 2]
+    doctored = tmp_path / "manifest.json"
+    doctored.write_text(json.dumps(manifest), encoding="utf-8")
+    code = cli.main(["run", "--from-manifest", str(doctored),
+                     "--out-dir", str(tmp_path / "rerun")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: steps must be given as a string, got [1, 2]: {doctored}\n")
+    assert not (tmp_path / "rerun").exists()
+
+
+def test_cli_run_names_a_dataset_with_a_non_finite_cell(tmp_path, capsys):
+    csv_path, _ = write_dataset(generate_linear(80, 3, noise_variance=1.0, seed=2),
+                                tmp_path / "data.csv")
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "nan"
+    lines[5] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["run", "--experiment", "density_trace", "--dataset", str(csv_path),
+                         "--steps", "30", "--repeats", "2", "--workers", "1",
+                         "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: {csv_path}: features are not finite in 1 row(s), the first is row 4\n")
 
 
 def test_cli_run_path_loads_neither_scipy_stats_nor_integrate(tmp_path):
