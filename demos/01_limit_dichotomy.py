@@ -9,8 +9,6 @@ the same dataset through all three regimes and prints the peak density
 and interval mass traces side by side.
 """
 
-import numpy as np
-
 from loopsim import LoopConfig, SETTING_SAMPLING, generate_linear, run
 
 data = generate_linear(500, 10, noise_variance=1.0, seed=42)

@@ -7,7 +7,6 @@ trace below is paired with the closed-form prediction evaluated by
 quadrature on the analytic map.
 """
 
-import numpy as np
 from scipy.integrate import quad
 
 from loopsim import (

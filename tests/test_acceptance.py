@@ -11,7 +11,6 @@ rather than weakened; everything it asserts is printed in its line.
 """
 
 import dataclasses
-import hashlib
 import math
 import time
 

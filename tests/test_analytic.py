@@ -140,6 +140,13 @@ def test_psi_sequence_rejects_bad_queries():
         bad.at(3)
 
 
+def test_psi_sequence_names_a_value_past_the_float_range():
+    with pytest.raises(ValueError, match=r"^sequence value at t=2000 .* got inf$"):
+        power_sequence(2.0).at(2000)
+    with pytest.raises(ValueError, match=r"^sequence value at t=400 .* got 0.0$"):
+        power_sequence(0.001).at(400)
+
+
 def test_moment_scaling_prediction_matches_quadrature():
     """Quadrature moments of the mapped density equal psi^(-k) * base moment."""
     amap = gauss_map(1.1)

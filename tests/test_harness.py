@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import loopsim
 from loopsim import cli
-from loopsim.data import generate_linear, write_dataset
+from loopsim.data import generate_linear, read_dataset, write_dataset
 from loopsim.engine import OPTIONAL_STATS, SETTING_SAMPLING, SETTING_SLIDING, LoopConfig, run
 from loopsim.harness import (
     EXPERIMENT_STATS,
@@ -80,6 +80,15 @@ def test_parse_config_file_reports_bad_line_number(tmp_path):
     path.write_text("experiment=density_trace\nnot a pair\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=":2:"):
         parse_config_file(path)
+
+
+def test_parse_config_file_refuses_a_key_given_twice(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("experiment=density_trace\nsteps=100\n# later\nsteps = 50\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        parse_config_file(path)
+    assert str(info.value) == f"{path}:4: steps is given again (first on line 2)"
 
 
 def test_build_config_resolves_setting_alias():
@@ -154,6 +163,10 @@ def experiment_configs(draw):
     lo = draw(_finite(-1e6, 1e6))
     text = st.text("abcxyz_/.0123456789", max_size=12)
     steps = draw(st.integers(1, 10**6))
+    t_list = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=5).map(tuple))
+    # a power base whose powers up to the last step stay inside the float range
+    reach = min(3.0, 300.0 / max(t_list))
+    base = _finite(-reach, reach).map(lambda e: 10.0**e)
     return ExperimentConfig(
         experiment=experiment,
         dataset=draw(text),
@@ -186,9 +199,9 @@ def experiment_configs(draw):
         adherence_grid=draw(grid.map(lambda g: tuple(3.0 * v for v in g))),
         segment=draw(st.none() | _finite(1e-3, 1e6).map(lambda w: (lo, lo + w)))
         if experiment == "autonomy" else None,
-        psi=draw(st.just("linear") | _finite(1e-3, 1e3).map(lambda a: f"power:{a!r}")),
+        psi=draw(st.just("linear") | base.map(lambda a: f"power:{a!r}")),
         demo_variance=draw(_finite(1e-6, 1e6)),
-        t_list=draw(st.lists(st.integers(1, 1000), min_size=1, max_size=5).map(tuple)),
+        t_list=t_list,
         out_dir=draw(text),
         workers=draw(st.integers(0, 8)),
         collect_traces=draw(st.booleans()),
@@ -202,8 +215,8 @@ def test_flat_dict_round_trip_is_the_identity(cfg):
 
 
 def test_experiment_config_restates_the_loop_defaults():
-    # ExperimentConfig keeps its own copy of LoopConfig's defaults, so that
-    # config.txt and the config hash spell every loop key out
+    # ExperimentConfig spells every loop key out in config.txt and the
+    # config hash, with LoopConfig's default, which both inherit from LoopDefaults
     experiment = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     compared = []
     for field in dataclasses.fields(LoopConfig):
@@ -242,7 +255,6 @@ def test_execute_writes_expected_files(trace_run):
     names = {p.name for p in result.output_paths}
     assert {"config.txt", "trace.csv", "summary.json"} <= names
     assert result.manifest_path.name == "manifest.json"
-    assert result.status == "ok"
 
 
 def test_manifest_hashes_match_files(trace_run):
@@ -406,7 +418,6 @@ def test_sweep_run_produces_surface_rows(tmp_path):
         experiment="sweep", rows="60", steps="25", repeats="1",
         usage_grid="0,1", adherence_grid="0,1", out_dir=str(tmp_path / "sweep")))
     result = execute(cfg)
-    assert result.status == "ok"
     merged = report([result.manifest_path], tmp_path / "merged")
     surface = (tmp_path / "merged" / "merged_surfaces.csv").read_text().splitlines()
     assert surface[0].startswith("config_hash,usage_p,adherence_s")
@@ -442,6 +453,16 @@ def test_cli_gen_data_writes_csv_and_sidecar(tmp_path, capsys):
     assert (tmp_path / "linear_m40_d3_s9.json").exists()
 
 
+def test_cli_gen_data_writes_the_dataset_a_run_generates_by_default(tmp_path, capsys):
+    assert cli.main(["gen-data", "--out-dir", str(tmp_path)]) == 0
+    defaults = ExperimentConfig(experiment="density_trace")
+    name = f"{defaults.kind}_m{defaults.rows}_d{defaults.cols}_s{defaults.data_seed}.csv"
+    assert capsys.readouterr().out.splitlines()[0] == str(tmp_path / name)
+    written = read_dataset(tmp_path / name)
+    assert written.generator_tag == defaults.kind
+    assert written.noise_variance == defaults.noise
+
+
 def test_cli_gen_data_rejects_narrow_friedman(tmp_path, capsys):
     code = cli.main(["gen-data", "--kind", "friedman1", "--cols", "4",
                      "--out-dir", str(tmp_path)])
@@ -460,6 +481,17 @@ def test_cli_run_from_config_file_with_override(tmp_path, capsys):
     assert raw["steps"] == "20"
     assert (tmp_path / "out" / "manifest.json").exists()
     assert "density_trace: ok" in capsys.readouterr().out
+
+
+def test_cli_run_refuses_a_config_file_beside_a_manifest(trace_run, tmp_path, capsys):
+    _cfg, result = trace_run
+    out = tmp_path / "rerun"
+    code = cli.main(["run", "--from-manifest", str(result.manifest_path),
+                     "--config", str(tmp_path / "nonexistent.cfg"), "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: --config and --from-manifest cannot be given together\n")
+    assert not out.exists()
 
 
 def test_cli_run_missing_config_file_is_a_config_error(tmp_path, capsys):
@@ -557,6 +589,35 @@ def test_cli_run_names_a_dataset_with_a_non_finite_cell(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         f"config error: {csv_path}: features are not finite in 1 row(s), the first is row 4\n")
+
+
+@pytest.mark.parametrize("missing", ["data.json", "data.csv"])
+def test_cli_run_names_the_missing_file_of_a_dataset(tmp_path, capsys, missing):
+    csv_path, _ = write_dataset(generate_linear(80, 3, noise_variance=1.0, seed=2),
+                                tmp_path / "data.csv")
+    (tmp_path / missing).unlink()
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "density_trace", "--dataset", str(csv_path),
+                     "--steps", "30", "--repeats", "2", "--workers", "1",
+                     "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: dataset not found: {tmp_path / missing}\n"
+
+
+@pytest.mark.parametrize("psi, t_list, message", [
+    ("power:2", "1,2000", "sequence value at t=2000 must be positive and finite, got inf"),
+    ("power:0.001", "1,400", "sequence value at t=400 must be positive and finite, got 0.0"),
+    ("power:1e200", "1", "sequence value at t=2 must be positive and finite, got inf"),
+    ("linear", "0,5", "step index must be a positive integer, got 0"),
+], ids=["overflow", "underflow", "autonomy-horizon", "step-zero"])
+def test_cli_run_refuses_a_psi_out_of_range_before_any_output(tmp_path, capsys, psi, t_list,
+                                                               message):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "analytic_demo", "--psi", psi,
+                     "--t-list", t_list, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: psi {psi}: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_run_path_loads_neither_scipy_stats_nor_integrate(tmp_path):

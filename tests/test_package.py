@@ -1,11 +1,17 @@
-"""Package surface: the star import, the export list and the version."""
+"""Package surface: the star import, the export list, the version, and no
+unused import."""
 
+import ast
 import warnings
 from pathlib import Path
 
+import pytest
+
 import loopsim
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
 def test_star_import_binds_every_export():
@@ -26,3 +32,46 @@ def test_pyproject_reads_the_package_version():
         warnings.simplefilter("ignore")
         project = read_configuration(PYPROJECT)["project"]
     assert project["version"] == loopsim.__version__
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names an import binds that its scope never reads, as "line: name".
+
+    The scope of an import is the innermost function or class around it,
+    or the module. A scope reads every name used anywhere inside it, and
+    the module also reads the names its __all__ lists.
+    """
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and "__all__" in {
+                getattr(target, "id", None) for target in node.targets}:
+            exported |= set(ast.literal_eval(node.value))
+    unused = []
+
+    def scan(scope, read):
+        read = read | {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        nodes = list(ast.iter_child_nodes(scope))
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, SCOPES):
+                scan(node, set())
+                continue
+            nodes.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name != "*" and name not in read:
+                        unused.append(f"{node.lineno}: {name}")
+
+    scan(tree, exported)
+    return unused
+
+
+@pytest.mark.parametrize("path", sorted(
+    path.relative_to(ROOT).as_posix()
+    for folder in ("src/loopsim", "tests", "demos") for path in (ROOT / folder).glob("*.py")
+))
+def test_no_unused_import(path):
+    assert _unused_imports(ast.parse((ROOT / path).read_text(encoding="utf-8"))) == []
