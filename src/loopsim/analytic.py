@@ -90,8 +90,8 @@ class AnalyticMap:
 
 def gaussian_density(mean: float = 0.0, variance: float = 1.0) -> DensityFn:
     """Normal density with support truncated at +-12 standard deviations."""
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"variance must be finite and positive, got {variance}")
     sd = math.sqrt(variance)
     norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
 

@@ -1,8 +1,8 @@
 """Command-line front end: gen-data, run, report, selftest.
 
 Exit codes: 0 success, 2 configuration/validation failure, 1 runtime
-failure. Every `run` leaves a manifest in the output directory even when
-it fails.
+failure. A configuration error writes nothing; every `run` whose inputs
+resolved leaves a manifest in the output directory, even when it fails.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from loopsim import harness
-from loopsim.data import generate_friedman1, generate_linear, write_dataset
+from loopsim.data import generate_linear, write_dataset
 from loopsim.harness import ConfigError, IntegrityError
 
 EXIT_OK = 0
@@ -63,13 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args) -> int:
     out_dir = Path(args.out_dir or os.environ.get("LOOPSIM_OUT", "."))
-    try:
-        if args.kind == "linear":
-            data = generate_linear(args.rows, args.cols, args.noise, args.seed)
-        else:
-            data = generate_friedman1(args.rows, args.cols, args.noise, args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    data = harness.generate_dataset(args.kind, args.rows, args.cols, args.noise, args.seed)
     stem = f"{args.kind}_m{args.rows}_d{args.cols}_s{args.seed}"
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path, sidecar_path = write_dataset(data, out_dir / f"{stem}.csv")

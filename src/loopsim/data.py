@@ -8,6 +8,7 @@ write_csv and format_float write every CSV table of the package.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,11 @@ def write_csv(path: Path, header: list, rows) -> None:
         out.writelines(",".join(row) + "\n" for row in rows)
 
 
+def _check_noise(noise_variance: float) -> None:
+    if not 0.0 <= noise_variance < math.inf:
+        raise ValueError(f"noise_variance must be finite and nonnegative, got {noise_variance}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A regression problem: feature matrix, targets, and provenance.
@@ -62,8 +68,7 @@ class Dataset:
             raise ValueError(
                 f"targets length {self.targets.shape} does not match {m} feature rows"
             )
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
+        _check_noise(self.noise_variance)
         for name, values in (("features", self.features), ("targets", self.targets)):
             bad = np.flatnonzero(~np.isfinite(values.reshape(m, -1)).all(axis=1))
             if bad.size:
@@ -91,8 +96,7 @@ def generate_linear(m: int, d: int, noise_variance: float, seed: int) -> Dataset
         raise ValueError(f"need m >= 2 rows, got {m}")
     if d < 1:
         raise ValueError(f"need d >= 1 features, got {d}")
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be nonnegative")
+    _check_noise(noise_variance)
     rng = np.random.default_rng(seed)
     w = rng.uniform(LINEAR_WEIGHT_LOW, LINEAR_WEIGHT_HIGH, size=d)
     X = rng.standard_normal((m, d))
@@ -122,8 +126,7 @@ def generate_friedman1(m: int, d: int, noise_variance: float, seed: int) -> Data
         raise ValueError(f"need m >= 2 rows, got {m}")
     if d < 5:
         raise ValueError(f"friedman1 needs d >= 5 features, got {d}")
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be nonnegative")
+    _check_noise(noise_variance)
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(m, d))
     eps = rng.normal(0.0, np.sqrt(noise_variance), size=m)

@@ -107,8 +107,10 @@ class LoopConfig(LoopDefaults):
             raise ValueError(f"unknown model {self.model!r}")
         if not 0.0 <= self.usage_p <= 1.0:
             raise ValueError(f"usage_p must lie in [0, 1], got {self.usage_p}")
-        if self.adherence_s < 0.0:
-            raise ValueError(f"adherence_s must be nonnegative, got {self.adherence_s}")
+        for name in ("adherence_s", "regularization"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         for name in ("total_steps", "retrain_period", "sgd_iterations", "repeats"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -120,8 +122,6 @@ class LoopConfig(LoopDefaults):
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
-        if self.regularization < 0.0:
-            raise ValueError(f"regularization must be nonnegative, got {self.regularization}")
         if self.probe_every is not None and int(self.probe_every) < 1:
             raise ValueError("probe_every must be a positive integer")
 

@@ -144,17 +144,18 @@ class ExperimentConfig(LoopDefaults):
         return Path(os.environ.get("LOOPSIM_OUT", "loopsim_out"))
 
     def resolved_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
+        """workers, else LOOPSIM_WORKERS, else one per CPU; 0 means unset."""
+        source, value = "workers", self.workers
         env = os.environ.get("LOOPSIM_WORKERS", "")
-        if env.strip():
+        if value == 0 and env.strip():
+            source = "LOOPSIM_WORKERS"
             try:
                 value = int(env)
             except ValueError as exc:
                 raise ConfigError(f"LOOPSIM_WORKERS must be an integer, got {env!r}") from exc
-            if value > 0:
-                return value
-        return os.cpu_count() or 1
+        if value < 0:
+            raise ConfigError(f"{source} must be nonnegative, got {value}")
+        return value or os.cpu_count() or 1
 
 
 def parse_config_file(path) -> dict:
@@ -232,8 +233,8 @@ def _parse_segment(key, value) -> tuple:
     if len(parts) != 2:
         raise ConfigError(f"{key} must be lo:hi, got {value!r}")
     lo, hi = (_cast_float(key, p) for p in parts)
-    if hi <= lo:
-        raise ConfigError(f"{key} needs hi > lo, got {value!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"{key} needs finite lo < hi, got {value!r}")
     return (lo, hi)
 
 
@@ -275,7 +276,8 @@ def build_config(raw: dict) -> ExperimentConfig:
     Loop parameters are checked here, before anything runs, by the
     engine's own rules: constructing the engine config (on a sweep, the
     config of every grid cell), and on a trace experiment resolving its
-    probe steps and checking its kappas.
+    probe steps and checking its kappas. The dataset is checked by its
+    generator or reader when execute resolves it.
     """
     unknown = sorted(set(raw) - set(_CODECS))
     if unknown:
@@ -320,17 +322,12 @@ def build_config(raw: dict) -> ExperimentConfig:
                     check_kappas(config.kappas)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not config.dataset:
-            if config.rows < 2 or config.cols < 1:
-                raise ConfigError("rows must be >= 2 and cols >= 1")
-            if kind == "friedman1" and config.cols < 5:
-                raise ConfigError("friedman1 needs cols >= 5")
-            if config.noise < 0:
-                raise ConfigError("noise must be nonnegative")
     else:
         psi = _parse_psi(config.psi)
-        if config.demo_variance <= 0:
-            raise ConfigError("demo_variance must be positive")
+        try:
+            gaussian_density(0.0, config.demo_variance)
+        except ValueError as exc:
+            raise ConfigError(f"demo_variance: {exc}") from exc
         # the autonomy check reads psi up to step 2 even when t_list stops at 1;
         # both sequences are monotone, so the end steps bound every step read
         for t in (*config.t_list, 2):
@@ -427,6 +424,15 @@ def write_steps_csv(path: Path, report) -> None:
 # experiments
 
 
+def generate_dataset(kind: str, rows: int, cols: int, noise: float, seed: int) -> Dataset:
+    """A synthetic dataset; ConfigError carries its generator's refusal."""
+    generate = generate_linear if kind == "linear" else generate_friedman1
+    try:
+        return generate(rows, cols, noise, seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _resolve_dataset(config: ExperimentConfig) -> Dataset:
     if config.dataset:
         try:
@@ -435,19 +441,7 @@ def _resolve_dataset(config: ExperimentConfig) -> Dataset:
             raise ConfigError(f"dataset not found: {exc.filename}") from exc
         except ValueError as exc:
             raise ConfigError(f"{config.dataset}: {exc}") from exc
-    if config.kind == "linear":
-        return generate_linear(config.rows, config.cols, config.noise, config.data_seed)
-    return generate_friedman1(config.rows, config.cols, config.noise, config.data_seed)
-
-
-def _checked_loop_config(config: ExperimentConfig, data: Dataset) -> LoopConfig:
-    """The engine config, checked against the rows of the resolved dataset."""
-    loop_config = config.loop_config()
-    try:
-        loop_config.check_rows(data.n_rows, probed=True)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return loop_config
+    return generate_dataset(config.kind, config.rows, config.cols, config.noise, config.data_seed)
 
 
 def _summarize_report(report) -> dict:
@@ -469,16 +463,15 @@ def _summarize_report(report) -> dict:
     return summary
 
 
-def _run_trace_experiment(config: ExperimentConfig, out_dir: Path) -> tuple[list, dict]:
-    data = _resolve_dataset(config)
-    loop_config = _checked_loop_config(config, data)
+def _run_trace_experiment(config: ExperimentConfig, out_dir: Path, data: Dataset,
+                          loop_config: LoopConfig, workers: int) -> tuple[list, dict]:
     report = run(
         data,
         loop_config,
         probes=config.probes,
         kappa_list=list(config.kappas) if config.kappas is not None else None,
         stats=EXPERIMENT_STATS[config.experiment],
-        workers=config.resolved_workers(),
+        workers=workers,
     )
     outputs = []
     trace_path = out_dir / "trace.csv"
@@ -517,15 +510,14 @@ def _run_trace_experiment(config: ExperimentConfig, out_dir: Path) -> tuple[list
     return outputs, summary
 
 
-def _run_sweep(config: ExperimentConfig, out_dir: Path) -> tuple[list, dict]:
-    data = _resolve_dataset(config)
-    loop_config = _checked_loop_config(config, data)
+def _run_sweep(config: ExperimentConfig, out_dir: Path, data: Dataset,
+               loop_config: LoopConfig, workers: int) -> tuple[list, dict]:
     surface = stddev_surface(
         data,
         list(config.usage_grid),
         list(config.adherence_grid),
         loop_config,
-        workers=config.resolved_workers(),
+        workers=workers,
     )
     path = out_dir / "surface.csv"
     header = ["usage_p", "adherence_s", "mean_final_stddev", "std_final_stddev", "status"]
@@ -591,8 +583,18 @@ class RunResult:
 
 
 def execute(config: ExperimentConfig) -> RunResult:
-    """Run one experiment end to end, always leaving a manifest behind;
-    a failure is recorded as its status and re-raised."""
+    """Run one experiment end to end. Every input is resolved before the
+    first write, so a ConfigError leaves nothing behind; after that a
+    manifest is always written, and a failure is recorded as its status
+    and re-raised."""
+    workers = config.resolved_workers()
+    if config.experiment != "analytic_demo":
+        data = _resolve_dataset(config)
+        loop_config = config.loop_config()
+        try:
+            loop_config.check_rows(data.n_rows, probed=True)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     out_dir = config.resolved_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
@@ -606,11 +608,11 @@ def execute(config: ExperimentConfig) -> RunResult:
     status = "ok"
     try:
         if config.experiment == "sweep":
-            files, summary = _run_sweep(config, out_dir)
+            files, summary = _run_sweep(config, out_dir, data, loop_config, workers)
         elif config.experiment == "analytic_demo":
             files, summary = _run_analytic_demo(config, out_dir)
         else:
-            files, summary = _run_trace_experiment(config, out_dir)
+            files, summary = _run_trace_experiment(config, out_dir, data, loop_config, workers)
         outputs.extend(files)
         summary_path = out_dir / "summary.json"
         _write_json(summary_path, {"experiment": config.experiment, **summary})
@@ -710,13 +712,11 @@ def _verify_manifest(manifest_path: Path) -> dict:
     return manifest
 
 
-# run output -> (row count key, merged file, merged header)
+# run output -> (merged file, the columns put before the output's own)
 _MERGED_OUTPUTS = {
-    "trace.csv": ("traces", "merged_traces.csv",
-                  "config_hash,experiment,step,repeat,stat_name,value"),
-    "surface.csv": ("surfaces", "merged_surfaces.csv",
-                    "config_hash,usage_p,adherence_s,mean_final_stddev,std_final_stddev,status"),
-    "analytic.csv": ("analytic", "merged_analytic.csv", "config_hash,t,stat_name,value"),
+    "trace.csv": ("merged_traces.csv", ("config_hash", "experiment")),
+    "surface.csv": ("merged_surfaces.csv", ("config_hash",)),
+    "analytic.csv": ("merged_analytic.csv", ("config_hash",)),
 }
 
 
@@ -724,12 +724,15 @@ def report(manifest_paths, out_dir) -> dict:
     """Merge verified run outputs into tidy long-format CSVs.
 
     Trace-style rows gain (config_hash, experiment) columns so disjoint
-    configs stay separable; identical configs concatenate by repeat. Any
-    hash mismatch aborts with the offending file named.
+    configs stay separable; identical configs concatenate by repeat. The
+    merged header is those columns and the outputs' own header, which
+    every output merged into one file must share. Any hash mismatch or
+    differing header aborts with the offending file named.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     merged = {name: [] for name in _MERGED_OUTPUTS}
+    headers = {}
     groups = {}
     for mp in manifest_paths:
         mp = Path(mp)
@@ -738,22 +741,31 @@ def report(manifest_paths, out_dir) -> dict:
         experiment = manifest.get("config_snapshot", {}).get("experiment", "")
         groups.setdefault(chash, {"experiment": experiment, "manifests": []})
         groups[chash]["manifests"].append(str(mp))
+        prefix_values = {"config_hash": chash, "experiment": experiment}
         for name in manifest.get("output_paths", []):
             if name not in merged:
                 continue
-            body = (mp.parent / name).read_text(encoding="utf-8").splitlines()[1:]
-            prefix = f"{chash},{experiment}" if name == "trace.csv" else chash
+            merged_name, prefix_columns = _MERGED_OUTPUTS[name]
+            header, *body = (mp.parent / name).read_text(encoding="utf-8").splitlines()
+            if headers.setdefault(name, header) != header:
+                raise IntegrityError(
+                    f"{mp.parent / name}: header differs from the {name} headers merged "
+                    f"into {merged_name}"
+                )
+            prefix = ",".join(prefix_values[column] for column in prefix_columns)
             merged[name].extend((prefix, row) for row in body)
     written = []
-    for name, (_key, merged_name, header) in _MERGED_OUTPUTS.items():
+    for name, (merged_name, prefix_columns) in _MERGED_OUTPUTS.items():
         if merged[name]:
             path = out_dir / merged_name
-            write_csv(path, [header], merged[name])
+            write_csv(path, [*prefix_columns, headers[name]], merged[name])
             written.append(path)
     summary = {
         "groups": groups,
         "merged_files": [p.name for p in written],
-        "row_counts": {key: len(merged[name]) for name, (key, _, _) in _MERGED_OUTPUTS.items()},
+        # merged_traces.csv -> traces
+        "row_counts": {merged_name.removeprefix("merged_").removesuffix(".csv"): len(merged[name])
+                       for name, (merged_name, _) in _MERGED_OUTPUTS.items()},
     }
     _write_json(out_dir / "report_summary.json", summary)
     return summary

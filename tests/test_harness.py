@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -102,9 +103,14 @@ def test_build_config_rejects_unknown_keys():
         build_config(raw_config(window="0.3"))
 
 
-def test_build_config_rejects_friedman_with_four_columns():
-    with pytest.raises(ConfigError, match="cols"):
-        build_config(raw_config(kind="friedman1", cols="4"))
+def test_build_config_rejects_friedman_with_four_columns(tmp_path, capsys):
+    # the generator owns the rule, and a run applies it before any output
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "density_trace", "--kind", "friedman1",
+                     "--cols", "4", "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: friedman1 needs d >= 5 features, got 4\n"
+    assert not out.exists()
 
 
 def test_grid_range_is_inclusive_of_stop():
@@ -325,6 +331,25 @@ def test_report_merges_and_prefixes_rows(trace_run, tmp_path):
     assert first[1] == "density_trace"
 
 
+def test_report_refuses_an_output_whose_header_differs_from_the_ones_merged_before(tmp_path):
+    first = execute(build_config(raw_config(
+        experiment="sweep", rows="60", steps="25", repeats="1", workers="1",
+        usage_grid="0,1", adherence_grid="0", out_dir=str(tmp_path / "first"))))
+    second = tmp_path / "second"
+    shutil.copytree(first.out_dir, second)
+    surface = second / "surface.csv"
+    header, body = surface.read_text(encoding="utf-8").split("\n", 1)
+    surface.write_text(header.replace(",status", ",state") + "\n" + body, encoding="utf-8")
+    manifest = json.loads((second / "manifest.json").read_text(encoding="utf-8"))
+    manifest["content_hashes"]["surface.csv"] = sha256_file(surface)
+    (second / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(IntegrityError) as caught:
+        report([first.manifest_path, second / "manifest.json"], tmp_path / "merged")
+    assert str(caught.value) == (
+        f"{surface}: header differs from the surface.csv headers merged into "
+        "merged_surfaces.csv")
+
+
 def test_report_detects_tampering(trace_run, tmp_path):
     cfg, _ = trace_run
     out = tmp_path / "tampered"
@@ -439,6 +464,12 @@ def test_workers_env_must_be_integer(monkeypatch):
     cfg = build_config(raw_config())
     with pytest.raises(ConfigError, match="LOOPSIM_WORKERS"):
         cfg.resolved_workers()
+    monkeypatch.setenv("LOOPSIM_WORKERS", "-2")
+    with pytest.raises(ConfigError, match="^LOOPSIM_WORKERS must be nonnegative, got -2$"):
+        cfg.resolved_workers()
+    monkeypatch.setenv("LOOPSIM_WORKERS", "2")
+    with pytest.raises(ConfigError, match="^workers must be nonnegative, got -3$"):
+        build_config(raw_config(workers="-3")).resolved_workers()
 
 
 # -- command line ----------------------------------------------------------
@@ -506,10 +537,11 @@ def test_cli_run_rejects_overlong_sliding_budget(tmp_path, capsys):
         "".join(f"{k}={v}\n" for k, v in
                 raw_config(setting="sliding", rows="50", steps="40").items()),
         encoding="utf-8")
-    code = cli.main(["run", "--config", str(cfg_file),
-                     "--out-dir", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg_file), "--out-dir", str(out)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_rejects_too_few_rows_as_a_config_error(tmp_path, capsys):
@@ -521,6 +553,70 @@ def test_cli_run_rejects_too_few_rows_as_a_config_error(tmp_path, capsys):
                      "--rows", "9", "--steps", "1", "--out-dir", str(tmp_path / "b")])
     assert code == 2
     assert "sliding window needs at least 10 rows, got 9" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_cli_run_refuses_a_malformed_worker_count_before_any_output(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.setenv("LOOPSIM_WORKERS", "abc")
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "density_trace", "--rows", "200", "--steps", "30",
+                     "--repeats", "1", "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: LOOPSIM_WORKERS must be an integer, got 'abc'\n")
+    assert not out.exists()
+
+
+NON_FINITE_CASES = [
+    ("noise", ["--noise", "nan"]),
+    ("noise", ["--noise", "inf"]),
+    ("adherence", ["--adherence", "nan"]),
+    ("adherence", ["--adherence", "inf"]),
+    ("regularization", ["--model", "ridge_regularized", "--regularization", "nan"]),
+    ("regularization", ["--model", "ridge_regularized", "--regularization", "inf"]),
+    ("demo_variance", ["--experiment", "analytic_demo", "--demo-variance", "nan"]),
+    ("demo_variance", ["--experiment", "analytic_demo", "--demo-variance", "inf"]),
+    ("segment", ["--experiment", "autonomy", "--segment", "nan:5"]),
+    ("segment", ["--experiment", "autonomy", "--segment", "0:inf"]),
+]
+
+
+@pytest.mark.parametrize("key, flags", NON_FINITE_CASES,
+                         ids=[f"{key}-{flags[-1]}" for key, flags in NON_FINITE_CASES])
+def test_cli_run_refuses_a_non_finite_number_before_any_output(tmp_path, capsys, key, flags):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "density_trace", "--rows", "200", "--steps", "30",
+                     "--repeats", "1", "--workers", "1", *flags, "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out.exists()
+
+
+def test_cli_run_failing_after_its_checks_leaves_config_and_a_failed_manifest(tmp_path,
+                                                                               capsys):
+    # the third feature is nonzero on row 123 only: the fits before step 20
+    # train on that row, the step-20 fit does not and finds the feature
+    # centered to exactly zero (a copy of another feature would be singular
+    # only up to rounding)
+    data = generate_linear(200, 3, noise_variance=1.0, seed=2)
+    features = data.features.copy()
+    features[:, 2] = 0.0
+    features[123, 2] = 1.0
+    csv_path, _ = write_dataset(dataclasses.replace(data, features=features),
+                                tmp_path / "data.csv")
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "density_trace", "--dataset", str(csv_path),
+                     "--steps", "30", "--repeats", "1", "--workers", "1",
+                     "--out-dir", str(out)])
+    assert code == 1
+    message = ("repeat 0, step 20: normal matrix is singular at regularization 0: "
+               "centered feature rank 2 < 3 columns")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert (out / "config.txt").exists()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == f"failed: {message}"
 
 
 def test_cli_run_rejects_out_of_range_grid_before_running(tmp_path, capsys):
@@ -529,7 +625,7 @@ def test_cli_run_rejects_out_of_range_grid_before_running(tmp_path, capsys):
                      "--repeats", "1", "--usage-grid", "0,1.5", "--adherence-grid", "0,-1",
                      "--out-dir", str(out)])
     assert code == 2
-    assert "adherence_s must be nonnegative, got -1.0" in capsys.readouterr().err
+    assert "adherence_s must be finite and nonnegative, got -1.0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -589,6 +685,7 @@ def test_cli_run_names_a_dataset_with_a_non_finite_cell(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         f"config error: {csv_path}: features are not finite in 1 row(s), the first is row 4\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("missing", ["data.json", "data.csv"])
@@ -602,6 +699,7 @@ def test_cli_run_names_the_missing_file_of_a_dataset(tmp_path, capsys, missing):
                      "--out-dir", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"config error: dataset not found: {tmp_path / missing}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("psi, t_list, message", [
