@@ -245,7 +245,9 @@ def _refit(states: list, config: LoopConfig) -> list:
     splits = []
     for state in states:
         w = state.window_size
-        rows = state.active_rows()[state.rng.permutation(w)]
+        rows = state.rng.permutation(w)
+        if state.sliding:
+            rows = state.active_rows()[rows]
         n_train = max(2, int(config.train_fraction * w + 1e-9))
         n_hold = max(1, int(config.holdout_fraction * w + 1e-9))
         splits.append((rows[:n_train], rows[w - n_hold :]))
@@ -315,11 +317,14 @@ def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> np.recor
 
     The step's row is the first one past a sliding window, or a uniform
     draw from the sampling set; its target becomes the sampled value when
-    the prediction is used. Raises LoopComplete once the loop has taken
-    config.total_steps steps. Writes and returns the step's row of
-    state.record: the drawn item, the prediction, the sampled replacement
-    value, and whether it was used. With retrain=False a scheduled refit is
-    left to the caller.
+    the prediction is used. A step makes three draws from state.rng, in
+    this order: the row (sampling only), the sampled value and the usage
+    coin. The prediction is features[row] @ weights + intercept, the bits
+    that predict gives on the one-row matrix, without predict's checks.
+    Raises LoopComplete once the loop has taken config.total_steps steps.
+    Writes and returns the step's row of state.record: the drawn item, the
+    prediction, the sampled replacement value, and whether it was used.
+    With retrain=False a scheduled refit is left to the caller.
     """
     if state.step_t >= config.total_steps:
         raise LoopComplete(f"loop complete after {state.step_t} steps")
@@ -330,7 +335,7 @@ def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> np.recor
         row = int(rng.integers(state.window_size))
     y_true = float(state.targets[row])
     item = int(state.item_indices[row])
-    y_pred = float(predict(state.model, state.features[row].reshape(1, -1))[0])
+    y_pred = float(state.features[row] @ state.model.weights + state.model.intercept)
     z = float(rng.normal(y_pred, math.sqrt(config.adherence_s * state.sigma2)))
     used = bool(rng.random() < config.usage_p)
     if used:
@@ -478,13 +483,19 @@ def derive_kappas(data: Dataset, config: LoopConfig) -> list[float]:
     """Default probe half-widths: fractions of the initial residual spread.
 
     Uses a throwaway initialization with the first repeat's child seed, so
-    the values are deterministic for a given (data, config) pair. Falls
-    back to the bare fractions if the initial fit is exact. The spread is
+    the values are deterministic for a given (data, config) pair; a failed
+    fit is repeat 0's own first fit, and its message says so. Falls back
+    to the bare fractions if the initial fit is exact. The spread is
     density.spread, so residuals whose squares leave the float range still
     give kappas on their own scale.
     """
     child = np.random.SeedSequence(config.seed).spawn(1)[0]
-    state = init_state(data, config, rng=np.random.default_rng(child))
+    state = init_state(data, config, rng=np.random.default_rng(child), retrain=False)
+    try:
+        _retrain(state, config)
+    except Exception as exc:
+        exc.args = (f"repeat 0, step 0: {exc}",)
+        raise
     sd0 = spread(state.residuals())
     if sd0 > 0 and math.isfinite(sd0):
         return [f * sd0 for f in DEFAULT_KAPPA_FRACTIONS]
@@ -537,13 +548,16 @@ def run_many(
     every field but usage_p, adherence_s, seed and repeats advance in
     lockstep, split into `workers` tasks; SGD lanes share one batched fit
     per retrain, ridge lanes are fitted one by one. With workers > 1 the
-    tasks share one process pool. Every probe writes the core statistics
-    and the OPTIONAL_STATS named in stats, by default all of them; an
-    unknown name raises ValueError, and so do kappas that check_kappas
-    refuses and probes that resolve_probes refuses. Returns one
-    DiagnosticsReport per config, in order, with its repeats' step
-    records, or an exception: the config's row-count error (checked before
-    any lane runs) or the exception of its first failed repeat.
+    parent forks a pool of workers - 1 processes and runs every
+    workers-th task itself while the pool runs the rest; the tasks, their
+    lanes and the results are the same at any worker count. Every probe
+    writes the core statistics and the OPTIONAL_STATS named in stats, by
+    default all of them; an unknown name raises ValueError, and so do
+    kappas that check_kappas refuses and probes that resolve_probes
+    refuses. Returns one DiagnosticsReport per config, in order, with its
+    repeats' step records, or an exception: the config's row-count error
+    (checked before any lane runs) or the exception of its first failed
+    repeat.
     """
     kappas = check_kappas(kappa_list)
     requested = set(stats)
@@ -575,8 +589,15 @@ def run_many(
     if workers > 1 and len(tasks) > 1:
         from concurrent import futures
 
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_lanes, *zip(*tasks)))
+        # the parent runs every workers-th task itself, the pool the rest
+        outcomes = [None] * len(tasks)
+        pooled = [k for k in range(len(tasks)) if k % workers]
+        with futures.ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) as pool:
+            pending = {k: pool.submit(_run_lanes, *tasks[k]) for k in pooled}
+            for k in range(0, len(tasks), workers):
+                outcomes[k] = _run_lanes(*tasks[k])
+            for k, future in pending.items():
+                outcomes[k] = future.result()
     else:
         outcomes = [_run_lanes(*task) for task in tasks]
     results = {}

@@ -9,10 +9,11 @@ threshold (HUBER_DELTA) are constants, not options: every caller fits
 with the same ones.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 SOLVER_SGD = "sgd"
 SOLVER_RIDGE_EXACT = "ridge_exact"
@@ -126,11 +127,15 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
     """Exact minimizer of ||y - Xw - b||^2 + regularization * ||w||^2.
 
     Solved in closed form: center X and y, Cholesky-solve the regularized
-    normal equations for w, recover the intercept from the means. With
-    regularization 0 this is ordinary least squares and raises if the
-    centered Gram matrix is rank deficient. Non-finite targets raise
-    ValueError before any arithmetic; the features are taken to be finite
-    (Dataset checks them once).
+    normal equations for w, recover the intercept from the means. The
+    solve is LAPACK's dpotrf/dpotrs, called as scipy's cho_factor and
+    cho_solve call them, so the bits are theirs. With regularization 0
+    this is ordinary least squares and raises ValueError when the factor
+    fails or its smallest squared pivot is below d * 2**-52 times the
+    largest diagonal entry of the centered Gram matrix, so an exactly
+    collinear design is refused whatever the rounding. Non-finite targets
+    raise ValueError before any arithmetic; the features are taken to be
+    finite (Dataset checks them once).
     """
     X, y = _as_xy(features, targets)
     if X.shape[0] < 2:
@@ -144,17 +149,30 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
     y_mean = y.mean()
     Xc = X - x_mean
     yc = y - y_mean
-    gram = Xc.T @ Xc + regularization * np.eye(X.shape[1])
-    try:
-        w = cho_solve(cho_factor(gram), Xc.T @ yc)
-    except np.linalg.LinAlgError as exc:
-        rank = np.linalg.matrix_rank(Xc)
+    d = X.shape[1]
+    gram = Xc.T @ Xc + regularization * np.eye(d)
+    # cho_solve(cho_factor(gram), rhs) without its wrappers: the same LAPACK
+    # calls and finiteness checks
+    _check_finite(gram)
+    factor, info = dpotrf(gram, lower=0, clean=0)
+    # at regularization 0, a pivot this small is rounding, not rank
+    threshold = d * 2.0**-52 * gram.diagonal().max()
+    if info > 0 or (regularization == 0 and factor.diagonal().min() ** 2 < threshold):
+        rank = np.linalg.matrix_rank(Xc, tol=math.sqrt(threshold))
         raise ValueError(
-            f"normal matrix is singular at regularization 0: centered feature rank "
-            f"{rank} < {X.shape[1]} columns"
-        ) from exc
+            f"normal matrix is singular at regularization {regularization:g}: "
+            f"centered feature rank {rank} < {d} columns"
+        )
+    rhs = Xc.T @ yc
+    _check_finite(rhs)
+    w, _ = dpotrs(factor, rhs, lower=0)
     b = y_mean - x_mean @ w
     return TrainedModel(w, float(b), 1)
+
+
+def _check_finite(a):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def fit_huber_line(ts, vs) -> TrainedModel:

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import multiprocessing
+import os
 import types
 import warnings
 
@@ -24,6 +25,7 @@ from loopsim.engine import (
     run_many,
     step,
 )
+from loopsim.regressors import predict
 
 
 def cfg(**kw):
@@ -479,6 +481,102 @@ def test_a_failing_sgd_lane_leaves_its_chunk_mates_alone(workers, monkeypatch):
         assert np.array_equal(reports[0].per_repeat[name], solo.per_repeat[name],
                               equal_nan=True), name
 
+
+@pytest.mark.parametrize("setting", [SETTING_SAMPLING, SETTING_SLIDING])
+def test_each_step_predicts_the_bits_of_predict_on_its_row(setting):
+    data = generate_linear(300, 10, noise_variance=1.0, seed=24)
+    config = cfg(setting=setting, total_steps=200, usage_p=0.6, adherence_s=1.5,
+                 retrain_period=7)
+    state = init_state(data, config, np.random.default_rng(5))
+    retrains = 0
+    for _ in range(config.total_steps):
+        model = state.model
+        record = step(state, config)
+        retrains += state.model is not model
+        x = data.features[record.item_index]
+        assert np.float64(record.y_pred).tobytes() == predict(model, x[None])[0].tobytes()
+    assert retrains == config.total_steps // config.retrain_period
+
+
+def _two_groups():
+    """Configs in two lockstep groups (they differ in retrain_period) of 4
+    lanes each: more tasks than workers at workers 2 and 3."""
+    data = generate_linear(200, 4, noise_variance=1.0, seed=25)
+    a = cfg(total_steps=80, usage_p=0.5, adherence_s=1.5, retrain_period=10, probe_every=20,
+            repeats=1, seed=3)
+    b = dataclasses.replace(a, usage_p=0.9, repeats=3, seed=4)
+    c = dataclasses.replace(a, retrain_period=8, repeats=4, seed=5)
+    return data, [a, b, c]
+
+
+def _report_bytes(report):
+    return ({name: values.tobytes() for name, values in report.per_repeat.items()},
+            report.step_traces.tobytes())
+
+
+def test_run_many_keeps_its_bits_when_the_parent_runs_a_share_of_the_tasks():
+    data, configs = _two_groups()
+    reports = {workers: run_many(data, configs, None, [0.1, 0.3], workers=workers)
+               for workers in (1, 2, 3)}
+    for serial, two, three in zip(reports[1], reports[2], reports[3]):
+        assert _report_bytes(two) == _report_bytes(serial)
+        assert _report_bytes(three) == _report_bytes(serial)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patched engine only when forked")
+def test_a_lane_failing_in_the_parents_share_is_named_and_leaves_its_chunk_mates_alone(
+        monkeypatch):
+    # at workers=2 the parent runs task 0, the first group's first two
+    # lanes: repeat 0 of configs[0] and repeat 0 of configs[1]
+    data, configs = _two_groups()
+    serial = run_many(data, configs, None, [0.1])
+    parent, real_step, failed = os.getpid(), engine.step, []
+
+    def flaky_step(state, config, retrain=True):
+        if os.getpid() == parent and state.step_t == 41 and not failed:
+            failed.append(config)
+            raise FloatingPointError("boom")
+        return real_step(state, config, retrain)
+
+    monkeypatch.setattr(engine, "step", flaky_step)
+    reports = run_many(data, configs, None, [0.1], workers=2)
+    assert failed == [configs[0]]
+    assert isinstance(reports[0], FloatingPointError)
+    assert str(reports[0]) == "repeat 0, step 42: boom"
+    assert _report_bytes(reports[1]) == _report_bytes(serial[1])
+    assert _report_bytes(reports[2]) == _report_bytes(serial[2])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patched engine only when forked")
+def test_a_raising_parent_share_leaves_no_pool_process_behind(monkeypatch):
+    data, configs = _two_groups()
+    parent, real_refit = os.getpid(), engine._refit
+
+    def refit_outside_the_pool(states, config):
+        if os.getpid() == parent:
+            raise MemoryError("no refit in the parent")
+        return real_refit(states, config)
+
+    monkeypatch.setattr(engine, "_refit", refit_outside_the_pool)
+    with pytest.raises(MemoryError, match="no refit in the parent"):
+        run_many(data, configs, None, [0.1], workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_an_exactly_collinear_design_fails_at_the_first_fit_on_every_seed(seed):
+    data = generate_linear(200, 3, noise_variance=1.0, seed=seed)
+    features = data.features.copy()
+    features[:, 2] = features[:, 1]
+    collinear = dataclasses.replace(data, features=features)
+    with pytest.raises(ValueError) as caught:
+        run(collinear, cfg(total_steps=30, repeats=1, seed=seed))
+    assert str(caught.value) == ("repeat 0, step 0: normal matrix is singular at "
+                                 "regularization 0: centered feature rank 2 < 3 columns")
 
 def test_replace_config():
     c = cfg(total_steps=100)

@@ -619,6 +619,25 @@ def test_cli_run_failing_after_its_checks_leaves_config_and_a_failed_manifest(tm
     assert manifest["status"] == f"failed: {message}"
 
 
+def test_cli_run_names_a_failed_kappa_fit_as_the_first_fit_of_repeat_0(tmp_path, capsys):
+    # a constant third feature is singular from the first fit on, which is
+    # the throwaway fit that derives the default kappas
+    data = generate_linear(200, 3, noise_variance=1.0, seed=2)
+    features = data.features.copy()
+    features[:, 2] = 4.0
+    csv_path, _ = write_dataset(dataclasses.replace(data, features=features),
+                                tmp_path / "data.csv")
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "density_trace", "--dataset", str(csv_path),
+                     "--steps", "30", "--repeats", "1", "--workers", "1",
+                     "--out-dir", str(out)])
+    assert code == 1
+    message = ("repeat 0, step 0: normal matrix is singular at regularization 0: "
+               "centered feature rank 2 < 3 columns")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == f"failed: {message}"
+
 def test_cli_run_rejects_out_of_range_grid_before_running(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", "--experiment", "sweep", "--rows", "60", "--steps", "25",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+from loopsim.data import generate_linear
 from loopsim.regressors import (
     SGD_DECAY,
     SGD_ETA0,
@@ -168,6 +169,70 @@ def test_ridge_keeps_the_bits_of_finite_targets():
     m = fit_ridge(X, y, 0.1)
     assert m.weights.tobytes() == w.tobytes()
     assert np.float64(m.intercept).tobytes() == np.float64(y_mean - x_mean @ w).tobytes()
+
+
+def _ridge_reference(X, y, penalty):
+    """fit_ridge's weights and intercept through scipy's cho_factor/cho_solve."""
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc, yc = X - x_mean, y - y_mean
+    factor = cho_factor(Xc.T @ Xc + penalty * np.eye(X.shape[1]))
+    w = cho_solve(factor, Xc.T @ yc)
+    return w, y_mean - x_mean @ w, np.diagonal(factor[0]), np.diagonal(Xc.T @ Xc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 60), cols=st.integers(1, 6),
+       scale=st.integers(-60, 60), penalty=st.sampled_from([0.0, 0.1]),
+       degenerate=st.sampled_from([None, "constant", "copy"]))
+def test_ridge_equals_cho_factor_and_cho_solve_bit_for_bit(seed, rows, cols, scale, penalty,
+                                                           degenerate):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(rows, cols))
+    y = (X @ rng.normal(size=cols) + rng.normal(size=rows)) * 2.0**scale
+    if degenerate == "constant":
+        X[:, -1] = 3.0
+    elif degenerate == "copy":
+        X[:, -1] = X[:, 0]
+    try:
+        w, b, pivots, gram_diagonal = _ridge_reference(X, y, penalty)
+    except (np.linalg.LinAlgError, ValueError):
+        with pytest.raises(ValueError):
+            fit_ridge(X, y, penalty)
+        return
+    try:
+        m = fit_ridge(X, y, penalty)
+    except ValueError as exc:
+        # the one refusal cho_factor does not make: ridge_exact's pivot rule
+        assert penalty == 0.0
+        assert pivots.min() ** 2 < cols * 2.0**-52 * gram_diagonal.max()
+        assert str(exc).startswith("normal matrix is singular at regularization 0")
+        return
+    assert m.weights.tobytes() == w.tobytes()
+    assert np.float64(m.intercept).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ridge_exact_refuses_an_exactly_collinear_design_on_every_seed(seed):
+    # cho_factor accepts some of these Gram matrices, with a last pivot of
+    # rounding size; the pivot rule refuses all of them
+    X = generate_linear(200, 3, noise_variance=1.0, seed=seed).features.copy()
+    X[:, 2] = X[:, 1]
+    y = np.random.default_rng(seed).normal(size=200)
+    message = ("normal matrix is singular at regularization 0: "
+               "centered feature rank 2 < 3 columns")
+    with pytest.raises(ValueError) as caught:
+        fit_ridge(X, y, 0.0)
+    assert str(caught.value) == message
+    assert np.all(np.isfinite(fit_ridge(X, y, 0.1).weights))
+
+
+def test_ridge_names_the_penalty_under_which_the_factor_failed():
+    # on this seed the collinear Gram matrix has a negative last pivot,
+    # which a penalty of 1e-30 does not lift
+    X = generate_linear(200, 3, noise_variance=1.0, seed=0).features.copy()
+    X[:, 2] = X[:, 1]
+    with pytest.raises(ValueError, match=r"^normal matrix is singular at regularization 1e-30: "):
+        fit_ridge(X, X[:, 0], 1e-30)
 
 
 def _sgd_reference(X, y, max_iterations, seed):
