@@ -11,7 +11,6 @@ The same flow is exposed on the command line:
     loopsim gen-data --kind linear --rows 500 --cols 10 --seed 42
     loopsim run --config my.cfg --out-dir out/
     loopsim report out/manifest.json --out-dir merged/
-    loopsim selftest
 """
 
 import dataclasses

@@ -1,4 +1,4 @@
-"""Command-line front end: gen-data, run, report, selftest.
+"""Command-line front end: gen-data, run, report.
 
 Exit codes: 0 success, 2 configuration/validation failure, 1 runtime
 failure. A configuration error writes nothing; every `run` whose inputs
@@ -7,16 +7,12 @@ resolved leaves a manifest in the output directory, even when it fails.
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from loopsim import harness
-from loopsim.data import generate_linear, write_dataset
+from loopsim.data import write_dataset
 from loopsim.harness import ConfigError, IntegrityError
 
 EXIT_OK = 0
@@ -56,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="verify manifests and merge outputs into tidy CSVs")
     rep.add_argument("manifests", nargs="+", help="manifest.json paths")
     rep.add_argument("--out-dir", default=None)
-
-    sub.add_parser("selftest", help="run the built-in invariant checks")
     return parser
 
 
@@ -105,148 +99,6 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def _check_data():
-    from loopsim.data import friedman_response
-
-    a = generate_linear(50, 3, 1.0, seed=11)
-    b = generate_linear(50, 3, 1.0, seed=11)
-    assert np.array_equal(a.features, b.features) and np.array_equal(a.targets, b.targets)
-    rows = np.array([[0.5, 1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 1.0, 1.0]])
-    resp = friedman_response(rows)
-    assert abs(resp[0] - 10.0) < 1e-12 and abs(resp[1] - 15.0) < 1e-12
-    return "generators deterministic, closed-form rows match"
-
-
-def _check_density():
-    from loopsim.density import EmpiricalDistribution, dkw_epsilon
-
-    eps = dkw_epsilon(0.05, 2000)
-    assert abs(eps - 0.030368073309) < 1e-9
-    assert abs(dkw_epsilon(0.05, 8000) - eps / 2) < 1e-15
-    dist = EmpiricalDistribution(np.array([-1.0, 0.0, 1.0]))
-    assert abs(dist.ecdf(0.5) - 2.0 / 3.0) < 1e-15
-    assert abs(dist.interval_mass(0.5) - 1.0 / 3.0) < 1e-15
-    pair = EmpiricalDistribution(np.array([-0.5, 0.5]))
-    assert abs(pair.moment_l1_sum(4).value - 0.3125) < 1e-15
-    assert pair.raw_moment(1) == 0.0 and pair.raw_moment(2) == 0.25
-    return "ECDF, DKW, interval mass, moment sums match hand values"
-
-
-def _check_regressors():
-    from loopsim.regressors import fit_huber_line, fit_ridge
-
-    model = fit_ridge(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0, 3.0]), 0.1)
-    assert abs(model.weights[0] - 20.0 / 21.0) < 1e-12
-    assert abs(model.intercept - 2.0 / 21.0) < 1e-12
-    t = np.arange(10.0)
-    line = fit_huber_line(t, 3.0 * t - 2.0)
-    assert abs(line.weights[0] - 3.0) < 1e-8 and abs(line.intercept + 2.0) < 1e-8
-    return "ridge hand solution and exact-line robust fit match"
-
-
-def _check_analytic():
-    from loopsim.analytic import (
-        AnalyticMap, autonomy_check, apply_map, envelope_step, gaussian_density,
-        linear_sequence, operator_norm_lower_bound, power_sequence,
-    )
-
-    amap = AnalyticMap(gaussian_density(0.0, 25.0), linear_sequence())
-    assert abs(apply_map(amap, 5, 0.0) - 1.0 / math.sqrt(2 * math.pi)) < 1e-12
-    assert autonomy_check(power_sequence(3.0), 10).autonomous
-    assert not autonomy_check(linear_sequence(), 2).autonomous
-    b = operator_norm_lower_bound(envelope_step(0.5), (0.0, 1.0), breakpoints=[0.5])
-    assert abs(b - 0.5) < 1e-8
-    return "scaling map, autonomy check, and norm bounds match hand values"
-
-
-def _check_engine():
-    from loopsim.data import generate_linear as gen
-    from loopsim.engine import LoopConfig, run
-
-    data = gen(60, 3, 1.0, seed=4)
-    config = LoopConfig(
-        setting="sampling_update", total_steps=200, usage_p=0.5, adherence_s=1.0,
-        model="ridge_exact", seed=9, repeats=2, probe_every=50,
-    )
-    r1 = run(data, config)
-    r2 = run(data, config)
-    assert np.array_equal(r1.psi_trace, r2.psi_trace, equal_nan=True)
-    assert np.array_equal(r1.stddev_trace, r2.stddev_trace, equal_nan=True)
-    for record in r1.step_traces:
-        used = np.count_nonzero(record.used_prediction)
-        band = 4.0 * math.sqrt(0.5 * 0.5 / 200)
-        assert abs(used / 200 - 0.5) <= band
-    return "runs deterministic; used-prediction rate inside the binomial band"
-
-
-def _check_diagnostics():
-    from loopsim.diagnostics import normality_test
-
-    rng = np.random.default_rng(123)
-    x = rng.standard_normal(500)
-    s1, _ = normality_test(x)
-    s2, _ = normality_test(3.7 * x - 11.0)
-    assert abs(s1 - s2) < 1e-8
-    return "normality statistic affine-invariant"
-
-
-def _check_end_to_end():
-    with tempfile.TemporaryDirectory() as tmp:
-        base = {
-            "experiment": "density_trace", "kind": "linear", "rows": "80", "cols": "3",
-            "noise": "1", "data_seed": "2", "setting": "sampling", "usage": "1",
-            "adherence": "0.5", "steps": "120", "probe_every": "60", "seed": "3",
-            "repeats": "2", "workers": "1",
-        }
-        cfg_a = harness.build_config({**base, "out_dir": str(Path(tmp) / "a")})
-        cfg_b = harness.build_config({**base, "out_dir": str(Path(tmp) / "b")})
-        res_a = harness.execute(cfg_a)
-        res_b = harness.execute(cfg_b)
-        ha = {p.name: harness.sha256_file(p) for p in res_a.output_paths if p.name != "config.txt"}
-        hb = {p.name: harness.sha256_file(p) for p in res_b.output_paths if p.name != "config.txt"}
-        assert ha == hb, "re-run outputs differ"
-        cfg_c = harness.build_config(
-            {**harness.config_from_manifest(res_a.manifest_path).to_flat_dict(),
-             "out_dir": str(Path(tmp) / "c")}
-        )
-        res_c = harness.execute(cfg_c)
-        hc = {p.name: harness.sha256_file(p) for p in res_c.output_paths if p.name != "config.txt"}
-        assert ha == hc, "manifest rerun outputs differ"
-    return "tiny run reproduces byte-identical outputs, incl. from manifest"
-
-
-_SELFTEST_CHECKS = (
-    ("synthetic data", _check_data),
-    ("density estimates", _check_density),
-    ("regressors", _check_regressors),
-    ("analytic maps", _check_analytic),
-    ("loop engine", _check_engine),
-    ("diagnostics", _check_diagnostics),
-    ("end-to-end determinism", _check_end_to_end),
-)
-
-
-def _cmd_selftest(_args) -> int:
-    failures = 0
-    for name, check in _SELFTEST_CHECKS:
-        try:
-            detail = check()
-        except Exception as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"PASS {name}: {detail}")
-    if failures:
-        print(f"{failures} of {len(_SELFTEST_CHECKS)} checks failed")
-        return EXIT_RUNTIME
-    print(f"all {len(_SELFTEST_CHECKS)} checks passed")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -254,7 +106,6 @@ def main(argv=None) -> int:
         "gen-data": _cmd_gen_data,
         "run": _cmd_run,
         "report": _cmd_report,
-        "selftest": _cmd_selftest,
     }
     try:
         return handlers[args.command](args)

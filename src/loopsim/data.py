@@ -166,7 +166,13 @@ def read_dataset(csv_path: str | Path) -> Dataset:
     # opened here, so that a missing file's error names it
     with csv_path.open(encoding="utf-8") as rows:
         raw = np.loadtxt(rows, delimiter=",", skiprows=1, ndmin=2)
-    meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
+    sidecar_path = csv_path.with_suffix(".json")
+    meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar {sidecar_path} is not a JSON object")
+    missing = [k for k in ("generator_tag", "noise_variance", "seed") if k not in meta]
+    if missing:
+        raise ValueError(f"sidecar {sidecar_path} lacks {', '.join(map(repr, missing))}")
     X, y = raw[:, :-1], raw[:, -1]
     w = meta.get("weights")
     return Dataset(

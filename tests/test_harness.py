@@ -284,12 +284,18 @@ def test_config_from_manifest_round_trip(trace_run):
 
 
 def test_rerun_from_manifest_is_byte_identical(trace_run, tmp_path):
+    # every hashed output except config.txt, which records the out_dir, for
+    # a rerun from the manifest and a plain rerun of the same config
     cfg, result = trace_run
-    rerun_cfg = dataclasses.replace(
-        config_from_manifest(result.manifest_path), out_dir=str(tmp_path / "rerun"))
-    rerun = execute(rerun_cfg)
-    original = (result.out_dir / "trace.csv").read_bytes()
-    assert (rerun.out_dir / "trace.csv").read_bytes() == original
+    hashes = json.loads(result.manifest_path.read_text(encoding="utf-8"))["content_hashes"]
+    names = sorted(set(hashes) - {"config.txt"})
+    assert "summary.json" in names and "trace.csv" in names
+    for source, rerun_cfg in (("manifest", config_from_manifest(result.manifest_path)),
+                              ("config", cfg)):
+        rerun = execute(dataclasses.replace(rerun_cfg, out_dir=str(tmp_path / source)))
+        for name in names:
+            assert ((rerun.out_dir / name).read_bytes()
+                    == (result.out_dir / name).read_bytes()), (source, name)
 
 
 def test_steps_csv_is_the_same_at_any_worker_count_and_parses_back_to_the_step_record(
@@ -721,6 +727,27 @@ def test_cli_run_names_the_missing_file_of_a_dataset(tmp_path, capsys, missing):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sidecar, message", [
+    ({"seed": 2, "noise_variance": 1.0}, "lacks 'generator_tag'"),
+    ({"generator_tag": "linear", "noise_variance": 1.0}, "lacks 'seed'"),
+    ({"generator_tag": "linear", "seed": 2}, "lacks 'noise_variance'"),
+    ({"rows": 80}, "lacks 'generator_tag', 'noise_variance', 'seed'"),
+    ([1, 2], "is not a JSON object"),
+], ids=["no-tag", "no-seed", "no-noise", "no-key", "array"])
+def test_cli_run_names_a_malformed_dataset_sidecar(tmp_path, capsys, sidecar, message):
+    csv_path, sidecar_path = write_dataset(
+        generate_linear(80, 3, noise_variance=1.0, seed=2), tmp_path / "data.csv")
+    sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "density_trace", "--dataset", str(csv_path),
+                     "--steps", "30", "--repeats", "2", "--workers", "1",
+                     "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: {csv_path}: sidecar {sidecar_path} {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("psi, t_list, message", [
     ("power:2", "1,2000", "sequence value at t=2000 must be positive and finite, got inf"),
     ("power:0.001", "1,400", "sequence value at t=400 must be positive and finite, got 0.0"),
@@ -796,8 +823,12 @@ def test_cli_report_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_selftest_passes(capsys):
-    assert cli.main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "FAIL" not in out
+def test_cli_has_no_selftest_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'selftest'" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -1,16 +1,20 @@
-"""Package surface: the star import, the export list, the version, and no
-unused import."""
+"""Package surface: the star import, the export list, the version, no
+unused import, and no documented command the CLI lacks."""
 
+import argparse
 import ast
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
 import loopsim
+from loopsim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+README = ROOT / "README.md"
 SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
@@ -75,3 +79,23 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 ))
 def test_no_unused_import(path):
     assert _unused_imports(ast.parse((ROOT / path).read_text(encoding="utf-8"))) == []
+
+
+def _documented_commands() -> set[tuple[str, str]]:
+    """Every `loopsim <word>` command line in README's code blocks and in the
+    demo docstrings, as (file, word)."""
+    texts = {"README.md": "".join(re.findall(
+        r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S))}
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        texts[path.relative_to(ROOT).as_posix()] = ast.get_docstring(tree) or ""
+    return {(name, word) for name, text in texts.items()
+            for word in re.findall(r"^\s*loopsim\s+(\S+)", text, re.M)}
+
+
+def test_documented_commands_are_the_cli_subcommands():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    documented = _documented_commands()
+    assert {(name, word) for name, word in documented if word not in commands.choices} == set()
+    assert set(commands.choices) <= {word for name, word in documented if name == "README.md"}
