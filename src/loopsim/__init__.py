@@ -37,25 +37,20 @@ from loopsim.density import (
     SaturationError,
     dkw_epsilon,
 )
-from loopsim.diagnostics import (
-    AutonomyFit,
-    DiagnosticsReport,
-    SurfaceResult,
-    autonomy_fit,
-    breusch_pagan,
-    normality_test,
-    stddev_surface,
-)
+from loopsim.diagnostics import AutonomyFit, autonomy_fit, breusch_pagan, normality_test
 from loopsim.engine import (
     SETTING_SAMPLING,
     SETTING_SLIDING,
     STEP_RECORD,
+    DiagnosticsReport,
     LoopComplete,
     LoopConfig,
     LoopState,
+    SurfaceResult,
     init_state,
     run,
     run_many,
+    stddev_surface,
     step,
 )
 from loopsim.regressors import TrainedModel, fit_huber_line, fit_ridge, fit_sgd, mse, predict

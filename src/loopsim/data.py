@@ -47,8 +47,9 @@ class Dataset:
     """A regression problem: feature matrix, targets, and provenance.
 
     ``weights`` holds the ground-truth linear coefficients when the
-    generator has them (linear), otherwise None. Features and targets must
-    be finite: the loop never checks its input rows again.
+    generator has them (linear), otherwise None; they must be finite, one
+    per feature column. Features and targets must be finite: the loop
+    never checks its input rows again.
     """
 
     features: np.ndarray
@@ -75,6 +76,13 @@ class Dataset:
                 raise ValueError(
                     f"{name} are not finite in {bad.size} row(s), the first is row {bad[0]}"
                 )
+        if self.weights is not None:
+            if np.shape(self.weights) != (d,):
+                raise ValueError(
+                    f"weights shape {np.shape(self.weights)} does not match {d} feature columns"
+                )
+            if not np.isfinite(self.weights).all():
+                raise ValueError("weights are not finite")
 
     @property
     def n_rows(self) -> int:
@@ -173,6 +181,12 @@ def read_dataset(csv_path: str | Path) -> Dataset:
     missing = [k for k in ("generator_tag", "noise_variance", "seed") if k not in meta]
     if missing:
         raise ValueError(f"sidecar {sidecar_path} lacks {', '.join(map(repr, missing))}")
+    for key, kind, types in (("seed", "an integer", int),
+                             ("noise_variance", "a number", (int, float))):
+        if isinstance(meta[key], bool) or not isinstance(meta[key], types):
+            raise ValueError(
+                f"sidecar {sidecar_path} {key!r} must be {kind}, got {json.dumps(meta[key])}"
+            )
     X, y = raw[:, :-1], raw[:, -1]
     w = meta.get("weights")
     return Dataset(

@@ -1,9 +1,10 @@
 """Empirical-distribution machinery.
 
-Everything measurable about a residual sample lives here: the empirical
+Everything measurable about one residual sample lives here: the empirical
 CDF with its distribution-free DKW confidence band, a point-density
 estimate (Gaussian KDE with Silverman bandwidth), interval masses, and
-raw moments with saturation-aware high-order sums.
+raw moments with saturation-aware high-order sums. Which of them a loop
+probe records, and under which trace column, is engine's.
 """
 
 import math
@@ -13,10 +14,6 @@ import numpy as np
 
 # fewest sample points a point-density estimate accepts
 MIN_DENSITY_POINTS = 20
-# the raw-moment orders a probe records as moment_<k>
-MOMENT_ORDERS = (1, 2, 3, 4, 5, 6)
-# the trace column of the interval mass at half-width kappa: MASS_COLUMN.format(kappa)
-MASS_COLUMN = "mass@{:.10g}"
 
 
 class InsufficientSampleError(ValueError):

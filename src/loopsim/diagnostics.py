@@ -1,85 +1,19 @@
-"""Statistical tests and fits over loop-run traces.
+"""Statistical tests on residual samples and traces.
 
-Covers the (usage, adherence) standard-deviation surface, residual
-normality testing, the robust log-linear autonomy fit, and the
-Breusch-Pagan homoscedasticity check on fit residuals.
+Covers residual normality testing, the robust log-linear autonomy fit,
+and the Breusch-Pagan homoscedasticity check on fit residuals. The
+report of a run and the (usage, adherence) surface are engine's.
 """
 
-import dataclasses
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from loopsim.density import MASS_COLUMN, MOMENT_ORDERS, InsufficientSampleError
+from loopsim.density import InsufficientSampleError
 from loopsim.regressors import fit_huber_line
-
-
-@dataclass
-class DiagnosticsReport:
-    """Per-probe statistics of a repeated-learning run.
-
-    ``per_repeat`` keeps the raw (repeats x probes) matrices keyed by stat
-    name: always "psi", "stddev" and "mass@<kappa>", and "normality_p",
-    "moment_l1", "moment_l1_truncated" and "moment_<k>" where the probes
-    computed them. ``mean`` and ``std`` reduce them over repeats, and the
-    trace properties are their means (``moment_traces`` is empty when the
-    probes skipped the raw moments). ``step_traces`` is the (repeats x
-    total_steps) recarray of the loop's step records (engine.STEP_RECORD).
-    """
-
-    probe_steps: list
-    kappa_list: list
-    per_repeat: dict
-    spike_counts: np.ndarray
-    step_traces: np.recarray
-
-    def __post_init__(self):
-        n = len(self.probe_steps)
-        for name, matrix in self.per_repeat.items():
-            if matrix.shape[1] != n:
-                raise ValueError(f"{name} length does not match probe_steps")
-        pv = self.per_repeat.get("normality_p", np.empty((0, 0)))
-        pv = pv[np.isfinite(pv)]
-        if pv.size and (pv.min() < 0 or pv.max() > 1):
-            raise ValueError("p-values must lie in [0, 1]")
-
-    def mean(self, stat) -> np.ndarray:
-        """Mean over repeats, ignoring NaN; finite wherever the values are.
-
-        Where the plain float64 mean overflows, the values are scaled down
-        by a power of two at least the repeat count before averaging.
-        """
-        values = self.per_repeat[stat]
-        with warnings.catch_warnings():
-            # all-spike probes leave empty slices behind; NaN is the answer there
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            out = np.nanmean(values, axis=0)
-            over = ~np.isfinite(out)
-            if over.any():
-                scale = 2.0 ** len(values).bit_length()
-                out[over] = np.nanmean(values[:, over] / scale, axis=0) * scale
-        return out
-
-    def std(self, stat) -> np.ndarray:
-        """Standard deviation over repeats, ignoring NaN."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            return np.nanstd(self.per_repeat[stat], axis=0)
-
-    repeats_aggregated = property(lambda self: len(self.per_repeat["psi"]))
-    psi_trace = property(lambda self: self.mean("psi"))
-    stddev_trace = property(lambda self: self.mean("stddev"))
-    moment_l1_trace = property(lambda self: self.mean("moment_l1"))
-    interval_masses = property(
-        lambda self: {kap: self.mean(MASS_COLUMN.format(kap)) for kap in self.kappa_list}
-    )
-    moment_traces = property(lambda self: {
-        k: self.mean(f"moment_{k}") for k in MOMENT_ORDERS if f"moment_{k}" in self.per_repeat
-    })
 
 
 @dataclass(frozen=True)
@@ -269,48 +203,3 @@ def autonomy_fit(steps, psi_values, segment=None) -> AutonomyFit:
     r2 = min(1.0, max(0.0, r2))
     bp = breusch_pagan(resid, t)
     return AutonomyFit(slope, intercept, r2, bp, (lo, hi), len(t_list), excluded)
-
-
-@dataclass
-class SurfaceResult:
-    """Final residual standard deviation over a (usage, adherence) grid."""
-
-    p_grid: list
-    s_grid: list
-    mean: np.ndarray
-    std: np.ndarray
-    errors: dict
-
-
-def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceResult:
-    """Run the loop over a (usage, adherence) grid.
-
-    Each cell executes ``config.repeats`` independent runs probed only at
-    step 0 and the final step; the cell value is the mean final-probe
-    residual standard deviation, with the across-repeat deviation kept
-    alongside. A grid value outside the config's range raises ValueError
-    before anything runs. A failing cell records its error, keyed by its
-    (i, j) index, and leaves NaN in the matrices instead of aborting the
-    sweep.
-    """
-    from loopsim import engine
-
-    p_grid = list(p_grid)
-    s_grid = list(s_grid)
-    if not p_grid or not s_grid:
-        raise ValueError("grids must be nonempty")
-    cells = [(i, j) for i in range(len(p_grid)) for j in range(len(s_grid))]
-    configs = [dataclasses.replace(config, usage_p=p_grid[i], adherence_s=s_grid[j])
-               for i, j in cells]
-    # only stddev is read, so no interval masses and no optional statistic
-    reports = engine.run_many(data, configs, (), (), stats=(), workers=workers)
-    mean = np.full((len(p_grid), len(s_grid)), np.nan)
-    std = np.full((len(p_grid), len(s_grid)), np.nan)
-    errors = {}
-    for idx, report in zip(cells, reports):
-        if isinstance(report, Exception):
-            errors[idx] = str(report)
-        else:
-            final = report.per_repeat["stddev"][:, -1]
-            mean[idx], std[idx] = float(np.mean(final)), float(np.std(final))
-    return SurfaceResult(p_grid, s_grid, mean, std, errors)

@@ -16,29 +16,30 @@ differ only in which row that is.
 Each step writes one row of the state's step record (``STEP_RECORD``):
 the drawn item, its target, the prediction, the sampled value, whether it
 was used, and the residual. ``run`` executes several independent repeats
-and collects their per-probe residual statistics and step records into a
-DiagnosticsReport; ``run_many`` does the same for several configs through
-one task list. A lane is one (config, repeat) pair: the lanes of a task
-advance in lockstep, and SGD lanes share one batched fit per retrain.
+and collects their per-probe residual statistics (the trace columns that
+MASS_COLUMN, MOMENT_ORDERS and OPTIONAL_STATS name) and step records into
+a DiagnosticsReport; ``run_many`` does the same for several configs
+through one task list, and ``stddev_surface`` for a (usage, adherence)
+grid. A lane is one (config, repeat) pair: the lanes of a task advance in
+lockstep, and SGD lanes share one batched fit per retrain.
 """
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from loopsim.data import Dataset
 from loopsim.density import (
-    MASS_COLUMN,
     MIN_DENSITY_POINTS,
-    MOMENT_ORDERS,
     SPIKE,
     EmpiricalDistribution,
     SaturationError,
     spread,
 )
-from loopsim.diagnostics import DiagnosticsReport, normality_test
+from loopsim.diagnostics import normality_test
 from loopsim.regressors import (
     DEFAULT_RIDGE_PENALTY,
     SOLVER_RIDGE_EXACT,
@@ -59,6 +60,10 @@ DEFAULT_WINDOW_FRACTION = {SETTING_SLIDING: 0.3, SETTING_SAMPLING: 1.0}
 DEFAULT_PROBE_EVERY = {SETTING_SLIDING: 10, SETTING_SAMPLING: 100}
 DEFAULT_KAPPA_FRACTIONS = (0.05, 0.1, 0.25, 0.5)
 DEFAULT_MOMENT_L1_TERMS = 300
+# the raw-moment orders a probe records as moment_<k>
+MOMENT_ORDERS = (1, 2, 3, 4, 5, 6)
+# the trace column of the interval mass at half-width kappa: MASS_COLUMN.format(kappa)
+MASS_COLUMN = "mass@{:.10g}"
 
 _MODELS = (SOLVER_SGD, SOLVER_RIDGE_EXACT, SOLVER_RIDGE_REGULARIZED)
 
@@ -238,23 +243,31 @@ def _refit(states: list, config: LoopConfig) -> list:
     """Refit every lane on a fresh split of its own active set.
 
     Each lane draws its split permutation, then its SGD seed, from its own
-    rng, as a solo run does. The SGD lanes share one fit_sgd_lanes call;
-    should it raise, each lane is fitted alone. Returns per lane None, or
-    the exception that ended its refit.
+    rng, as a solo run does. A lane whose training targets are not finite
+    (a diverged loop) ends with ValueError before any fit, whatever the
+    model. The other SGD lanes share one fit_sgd_lanes call; should it
+    raise, each lane is fitted alone. Returns per lane None, or the
+    exception that ended its refit.
     """
-    splits = []
-    for state in states:
+    errors = [None] * len(states)
+    fits = []  # (lane, training features, training targets, holdout rows)
+    for lane, state in enumerate(states):
         w = state.window_size
         rows = state.rng.permutation(w)
         if state.sliding:
             rows = state.active_rows()[rows]
-        n_train = max(2, int(config.train_fraction * w + 1e-9))
-        n_hold = max(1, int(config.holdout_fraction * w + 1e-9))
-        splits.append((rows[:n_train], rows[w - n_hold :]))
-    xs = [state.features[train] for state, (train, _) in zip(states, splits)]
-    ys = [state.targets[train] for state, (train, _) in zip(states, splits)]
+        train = rows[: max(2, int(config.train_fraction * w + 1e-9))]
+        hold = rows[w - max(1, int(config.holdout_fraction * w + 1e-9)) :]
+        y = state.targets[train]
+        if np.isfinite(y).all():
+            fits.append((lane, state.features[train], y, hold))
+        else:
+            # a fit could only warn on these; the lane ends the same way for every model
+            errors[lane] = ValueError("training targets are not finite")
+    xs = [x for _, x, _, _ in fits]
+    ys = [y for _, _, y, _ in fits]
     if config.model == SOLVER_SGD:
-        seeds = [int(state.rng.integers(0, 2**63 - 1)) for state in states]
+        seeds = [int(states[lane].rng.integers(0, 2**63 - 1)) for lane, *_ in fits]
         try:
             models = fit_sgd_lanes(np.stack(xs), np.stack(ys), config.sgd_iterations, seeds)
         except Exception:
@@ -263,14 +276,13 @@ def _refit(states: list, config: LoopConfig) -> list:
     else:
         penalty = 0.0 if config.model == SOLVER_RIDGE_EXACT else config.regularization
         models = [_attempt(fit_ridge, x, y, penalty) for x, y in zip(xs, ys)]
-    errors = []
-    for state, model, (_, hold) in zip(states, models, splits):
+    for (lane, _, _, hold), model in zip(fits, models):
         if isinstance(model, Exception):
-            errors.append(model)
+            errors[lane] = model
             continue
+        state = states[lane]
         state.model = model
         state.sigma2 = mse(model, state.features[hold], state.targets[hold])
-        errors.append(None)
     return errors
 
 
@@ -363,6 +375,70 @@ def resolve_probes(config: LoopConfig, probes) -> list[int]:
             raise ValueError(f"probe steps {sorted(bad)} fall outside [0, {budget}]")
     chosen.update((0, budget))
     return sorted(chosen)
+
+
+@dataclass
+class DiagnosticsReport:
+    """Per-probe statistics of a repeated-learning run.
+
+    ``per_repeat`` keeps the raw (repeats x probes) matrices keyed by stat
+    name: always "psi", "stddev" and "mass@<kappa>", and "normality_p",
+    "moment_l1", "moment_l1_truncated" and "moment_<k>" where the probes
+    computed them. ``mean`` and ``std`` reduce them over repeats, and the
+    trace properties are their means (``moment_traces`` is empty when the
+    probes skipped the raw moments). ``step_traces`` is the (repeats x
+    total_steps) recarray of the loop's step records (STEP_RECORD).
+    """
+
+    probe_steps: list
+    kappa_list: list
+    per_repeat: dict
+    spike_counts: np.ndarray
+    step_traces: np.recarray
+
+    def __post_init__(self):
+        n = len(self.probe_steps)
+        for name, matrix in self.per_repeat.items():
+            if matrix.shape[1] != n:
+                raise ValueError(f"{name} length does not match probe_steps")
+        pv = self.per_repeat.get("normality_p", np.empty((0, 0)))
+        pv = pv[np.isfinite(pv)]
+        if pv.size and (pv.min() < 0 or pv.max() > 1):
+            raise ValueError("p-values must lie in [0, 1]")
+
+    def mean(self, stat) -> np.ndarray:
+        """Mean over repeats, ignoring NaN; finite wherever the values are.
+
+        Where the plain float64 mean overflows, the values are scaled down
+        by a power of two at least the repeat count before averaging.
+        """
+        values = self.per_repeat[stat]
+        with warnings.catch_warnings():
+            # all-spike probes leave empty slices behind; NaN is the answer there
+            warnings.simplefilter("ignore", category=RuntimeWarning)
+            out = np.nanmean(values, axis=0)
+            over = ~np.isfinite(out)
+            if over.any():
+                scale = 2.0 ** len(values).bit_length()
+                out[over] = np.nanmean(values[:, over] / scale, axis=0) * scale
+        return out
+
+    def std(self, stat) -> np.ndarray:
+        """Standard deviation over repeats, ignoring NaN."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", category=RuntimeWarning)
+            return np.nanstd(self.per_repeat[stat], axis=0)
+
+    repeats_aggregated = property(lambda self: len(self.per_repeat["psi"]))
+    psi_trace = property(lambda self: self.mean("psi"))
+    stddev_trace = property(lambda self: self.mean("stddev"))
+    moment_l1_trace = property(lambda self: self.mean("moment_l1"))
+    interval_masses = property(
+        lambda self: {kap: self.mean(MASS_COLUMN.format(kap)) for kap in self.kappa_list}
+    )
+    moment_traces = property(lambda self: {
+        k: self.mean(f"moment_{k}") for k in MOMENT_ORDERS if f"moment_{k}" in self.per_repeat
+    })
 
 
 def _moments(dist, resid, i, res):
@@ -622,3 +698,46 @@ def run_many(
             step_traces=np.stack([record for _, record in mine]).view(np.recarray),
         )
     return reports
+
+
+@dataclass
+class SurfaceResult:
+    """Final residual standard deviation over a (usage, adherence) grid."""
+
+    p_grid: list
+    s_grid: list
+    mean: np.ndarray
+    std: np.ndarray
+    errors: dict
+
+
+def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceResult:
+    """Run the loop over a (usage, adherence) grid.
+
+    Each cell executes ``config.repeats`` independent runs probed only at
+    step 0 and the final step; the cell value is the mean final-probe
+    residual standard deviation, with the across-repeat deviation kept
+    alongside. A grid value outside the config's range raises ValueError
+    before anything runs. A failing cell records its error, keyed by its
+    (i, j) index, and leaves NaN in the matrices instead of aborting the
+    sweep.
+    """
+    p_grid = list(p_grid)
+    s_grid = list(s_grid)
+    if not p_grid or not s_grid:
+        raise ValueError("grids must be nonempty")
+    cells = [(i, j) for i in range(len(p_grid)) for j in range(len(s_grid))]
+    configs = [dataclasses.replace(config, usage_p=p_grid[i], adherence_s=s_grid[j])
+               for i, j in cells]
+    # only stddev is read, so no interval masses and no optional statistic
+    reports = run_many(data, configs, (), (), stats=(), workers=workers)
+    mean = np.full((len(p_grid), len(s_grid)), np.nan)
+    std = np.full((len(p_grid), len(s_grid)), np.nan)
+    errors = {}
+    for idx, report in zip(cells, reports):
+        if isinstance(report, Exception):
+            errors[idx] = str(report)
+        else:
+            final = report.per_repeat["stddev"][:, -1]
+            mean[idx], std[idx] = float(np.mean(final)), float(np.std(final))
+    return SurfaceResult(p_grid, s_grid, mean, std, errors)

@@ -41,7 +41,7 @@ from loopsim.data import (
     read_dataset,
     write_csv,
 )
-from loopsim.diagnostics import autonomy_fit, stddev_surface
+from loopsim.diagnostics import autonomy_fit
 from loopsim.engine import (
     ALL_STATS,
     SETTING_SAMPLING,
@@ -52,6 +52,7 @@ from loopsim.engine import (
     check_kappas,
     resolve_probes,
     run,
+    stddev_surface,
 )
 
 EXPERIMENTS = ("sweep", "density_trace", "normality", "autonomy", "moments", "analytic_demo")

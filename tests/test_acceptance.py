@@ -108,7 +108,7 @@ def test_criterion_03_neutral_mix_stays_put(lin500):
 
 
 def test_criterion_04_surface_is_monotone():
-    from loopsim.diagnostics import stddev_surface
+    from loopsim.engine import stddev_surface
 
     data = generate_linear(400, 10, noise_variance=1.0, seed=42)
     base = LoopConfig(setting=SETTING_SLIDING, total_steps=280, usage_p=1.0,

@@ -12,14 +12,8 @@ from scipy import stats
 from loopsim.data import generate_linear
 from loopsim.density import InsufficientSampleError
 from loopsim import engine
-from loopsim.diagnostics import (
-    DiagnosticsReport,
-    autonomy_fit,
-    breusch_pagan,
-    normality_test,
-    stddev_surface,
-)
-from loopsim.engine import SETTING_SAMPLING, LoopConfig
+from loopsim.diagnostics import autonomy_fit, breusch_pagan, normality_test
+from loopsim.engine import SETTING_SAMPLING, DiagnosticsReport, LoopConfig, stddev_surface
 
 
 # -- normality test ----------------------------------------------------

@@ -340,16 +340,23 @@ def test_run_records_masses_and_moments():
     assert rep.moment_l1_trace.shape == rep.psi_trace.shape
 
 
-def test_a_diverged_lane_names_its_non_finite_targets_without_a_warning():
-    # adherence 1e6 on every retrain overflows the window's targets
+@pytest.mark.parametrize("model", ["ridge_exact", "sgd"])
+def test_a_diverged_lane_names_its_non_finite_targets_without_a_warning(model):
+    # adherence 1e6 on every retrain overflows the window's targets; the
+    # healthy config shares the diverged lane's lockstep task
     data = generate_linear(200, 3, noise_variance=1.0, seed=42)
-    c = cfg(setting=SETTING_SLIDING, total_steps=140, adherence_s=1e6, retrain_period=1,
-            seed=703, repeats=1)
+    diverged = cfg(setting=SETTING_SLIDING, total_steps=140, adherence_s=1e6,
+                   retrain_period=1, model=model, seed=703, repeats=1)
+    healthy = dataclasses.replace(diverged, adherence_s=1.0, seed=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError) as caught:
-            run(data, c, kappa_list=[1.0])
-    assert str(caught.value) == "repeat 0, step 94: training targets are not finite"
+        failed, report = run_many(data, [diverged, healthy], None, [1.0])
+        (alone,) = run_many(data, [healthy], None, [1.0])
+    assert isinstance(failed, ValueError)
+    assert str(failed) == "repeat 0, step 94: training targets are not finite"
+    for name in alone.per_repeat:
+        assert np.array_equal(report.per_repeat[name], alone.per_repeat[name], equal_nan=True)
+    assert report.step_traces.tobytes() == alone.step_traces.tobytes()
 
 
 def test_run_many_refuses_kappas_that_share_a_mass_column():
@@ -696,6 +703,22 @@ def test_derive_kappas_keep_the_scale_of_residuals_whose_squares_leave_the_float
         kappas = engine.derive_kappas(dataclasses.replace(data, targets=data.targets * scale),
                                       config)
     assert np.allclose(np.array(kappas) / scale, base, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("setting", [SETTING_SAMPLING, SETTING_SLIDING])
+def test_an_exact_first_fit_takes_the_bare_kappa_fractions_and_probes_spikes(setting):
+    # constant targets: the first fit is exact, so the residual spread is 0
+    data = generate_linear(200, 3, noise_variance=1.0, seed=8)
+    data = dataclasses.replace(data, targets=np.full(data.n_rows, 5.0))
+    config = cfg(setting=setting, total_steps=40, adherence_s=1.0, probe_every=10, repeats=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert engine.derive_kappas(data, config) == [0.05, 0.1, 0.25, 0.5]
+        report = run(data, config)
+    assert report.kappa_list == [0.05, 0.1, 0.25, 0.5]
+    assert report.probe_steps == [0, 10, 20, 30, 40]
+    assert np.array_equal(report.spike_counts, np.full(5, config.repeats))
+    assert np.array_equal(report.per_repeat["stddev"], np.zeros((config.repeats, 5)))
 
 
 # -- loop invariants -------------------------------------------------------

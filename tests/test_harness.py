@@ -728,12 +728,21 @@ def test_cli_run_names_the_missing_file_of_a_dataset(tmp_path, capsys, missing):
 
 
 @pytest.mark.parametrize("sidecar, message", [
-    ({"seed": 2, "noise_variance": 1.0}, "lacks 'generator_tag'"),
-    ({"generator_tag": "linear", "noise_variance": 1.0}, "lacks 'seed'"),
-    ({"generator_tag": "linear", "seed": 2}, "lacks 'noise_variance'"),
-    ({"rows": 80}, "lacks 'generator_tag', 'noise_variance', 'seed'"),
-    ([1, 2], "is not a JSON object"),
-], ids=["no-tag", "no-seed", "no-noise", "no-key", "array"])
+    ({"seed": 2, "noise_variance": 1.0}, "sidecar {} lacks 'generator_tag'"),
+    ({"generator_tag": "linear", "noise_variance": 1.0}, "sidecar {} lacks 'seed'"),
+    ({"generator_tag": "linear", "seed": 2}, "sidecar {} lacks 'noise_variance'"),
+    ({"rows": 80}, "sidecar {} lacks 'generator_tag', 'noise_variance', 'seed'"),
+    ([1, 2], "sidecar {} is not a JSON object"),
+    ({"generator_tag": "linear", "seed": None, "noise_variance": 1.0},
+     "sidecar {} 'seed' must be an integer, got null"),
+    ({"generator_tag": "linear", "seed": 2, "noise_variance": "x"},
+     "sidecar {} 'noise_variance' must be a number, got \"x\""),
+    ({"generator_tag": "linear", "seed": 2, "noise_variance": 1.0, "weights": [1.0]},
+     "weights shape (1,) does not match 3 feature columns"),
+    ({"generator_tag": "linear", "seed": 2, "noise_variance": 1.0,
+      "weights": [1.0, float("nan"), 2.0]}, "weights are not finite"),
+], ids=["no-tag", "no-seed", "no-noise", "no-key", "array", "null-seed", "text-noise",
+        "short-weights", "nan-weights"])
 def test_cli_run_names_a_malformed_dataset_sidecar(tmp_path, capsys, sidecar, message):
     csv_path, sidecar_path = write_dataset(
         generate_linear(80, 3, noise_variance=1.0, seed=2), tmp_path / "data.csv")
@@ -744,7 +753,7 @@ def test_cli_run_names_a_malformed_dataset_sidecar(tmp_path, capsys, sidecar, me
                      "--out-dir", str(out)])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"config error: {csv_path}: sidecar {sidecar_path} {message}\n")
+        f"config error: {csv_path}: {message.format(sidecar_path)}\n")
     assert not out.exists()
 
 

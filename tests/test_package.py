@@ -1,5 +1,6 @@
 """Package surface: the star import, the export list, the version, no
-unused import, and no documented command the CLI lacks."""
+unused import, the import order of the modules, and no documented command
+the CLI lacks."""
 
 import argparse
 import ast
@@ -79,6 +80,49 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 ))
 def test_no_unused_import(path):
     assert _unused_imports(ast.parse((ROOT / path).read_text(encoding="utf-8"))) == []
+
+
+# the loopsim modules in import order: each imports only the ones before it
+LAYERS = ("data", "density", "regressors", "analytic", "diagnostics", "engine", "harness", "cli")
+
+
+def _loopsim_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every loopsim module an import anywhere in tree names.
+
+    `from loopsim import a` names a, and `from loopsim.a import x` and
+    `import loopsim.a` name a. A bare `import loopsim` names nothing: it
+    reads __version__, which a module uses only once the package is loaded.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # a relative import inside the package
+                module = f"loopsim.{module}".rstrip(".")
+            top, _, rest = module.partition(".")
+            if top != "loopsim":
+                continue
+            if rest:
+                found.append((node.lineno, rest.partition(".")[0]))
+            else:
+                found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "loopsim" and rest:
+                    found.append((node.lineno, rest.partition(".")[0]))
+    return found
+
+
+def test_each_module_imports_only_the_modules_listed_before_it():
+    package = ROOT / "src" / "loopsim"
+    assert sorted(LAYERS) == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    late = []
+    for k, module in enumerate(LAYERS):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        late += [f"{module}.py:{line}: {name}" for line, name in _loopsim_imports(tree)
+                 if name not in LAYERS[:k]]
+    assert late == []
 
 
 def _documented_commands() -> set[tuple[str, str]]:
