@@ -42,6 +42,11 @@ def _check_noise(noise_variance: float) -> None:
         raise ValueError(f"noise_variance must be finite and nonnegative, got {noise_variance}")
 
 
+def _check_seed(seed: int) -> None:
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A regression problem: feature matrix, targets, and provenance.
@@ -105,6 +110,7 @@ def generate_linear(m: int, d: int, noise_variance: float, seed: int) -> Dataset
     if d < 1:
         raise ValueError(f"need d >= 1 features, got {d}")
     _check_noise(noise_variance)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     w = rng.uniform(LINEAR_WEIGHT_LOW, LINEAR_WEIGHT_HIGH, size=d)
     X = rng.standard_normal((m, d))
@@ -135,6 +141,7 @@ def generate_friedman1(m: int, d: int, noise_variance: float, seed: int) -> Data
     if d < 5:
         raise ValueError(f"friedman1 needs d >= 5 features, got {d}")
     _check_noise(noise_variance)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(m, d))
     eps = rng.normal(0.0, np.sqrt(noise_variance), size=m)
@@ -187,8 +194,18 @@ def read_dataset(csv_path: str | Path) -> Dataset:
             raise ValueError(
                 f"sidecar {sidecar_path} {key!r} must be {kind}, got {json.dumps(meta[key])}"
             )
-    X, y = raw[:, :-1], raw[:, -1]
     w = meta.get("weights")
+    if w is not None and not (isinstance(w, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in w)):
+        raise ValueError(
+            f"sidecar {sidecar_path} 'weights' must be a list of numbers, got {json.dumps(w)}"
+        )
+    for key, size in (("rows", raw.shape[0]), ("columns", raw.shape[1] - 1)):
+        if key in meta and meta[key] != size:
+            raise ValueError(
+                f"sidecar {sidecar_path} {key!r} is {json.dumps(meta[key])}, the CSV has {size}"
+            )
+    X, y = raw[:, :-1], raw[:, -1]
     return Dataset(
         X,
         y,

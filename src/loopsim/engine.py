@@ -18,10 +18,11 @@ the drawn item, its target, the prediction, the sampled value, whether it
 was used, and the residual. ``run`` executes several independent repeats
 and collects their per-probe residual statistics (the trace columns that
 MASS_COLUMN, MOMENT_ORDERS and OPTIONAL_STATS name) and step records into
-a DiagnosticsReport; ``run_many`` does the same for several configs
-through one task list, and ``stddev_surface`` for a (usage, adherence)
-grid. A lane is one (config, repeat) pair: the lanes of a task advance in
-lockstep, and SGD lanes share one batched fit per retrain.
+a DiagnosticsReport; ``run_many`` does the same for several configs that
+differ only in usage_p, adherence_s, seed and repeats, and
+``stddev_surface`` for a (usage, adherence) grid. A lane is one (config,
+repeat) pair: the lanes of one run_many call advance in lockstep, and SGD
+lanes share one batched fit per retrain.
 """
 
 import dataclasses
@@ -129,6 +130,8 @@ class LoopConfig(LoopDefaults):
             raise ValueError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
         if self.probe_every is not None and int(self.probe_every) < 1:
             raise ValueError("probe_every must be a positive integer")
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
     @property
     def resolved_window_fraction(self) -> float:
@@ -489,31 +492,30 @@ def _observe(state, i, res, masses, stats):
         OPTIONAL_STATS[name][1](dist, resid, i, res)
 
 
-def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, stats):
+def _run_lanes(data, lanes, probe_steps, kappas, stats):
     """Lanes in lockstep: per lane its per-probe statistics and step record,
     or the exception that ended it.
 
-    Lane i is repeat repeats[i] of configs[i], seeded by the child seed
-    seeds[i]. The configs differ at most in usage_p, adherence_s, seed and
-    repeats, so all lanes retrain and probe on the same steps. Each lane
+    Each lane is a (config, repeat, child seed) triple of one lockstep
+    group, so all lanes retrain and probe on the same steps. Each lane
     goes through init_state and step with its own rng; _refit retrains the
     live lanes together. A lane that raises leaves the lockstep, and its
     exception's message is prefixed with its repeat and step.
     """
-    schedule = configs[0]
+    schedule = lanes[0][0]
     masses = [(MASS_COLUMN.format(kap), kap) for kap in kappas]
     names = ["spike", "psi", "stddev"] + [name for name, _ in masses]
     names += [column for name in stats for column in OPTIONAL_STATS[name][0]]
-    res = [{name: np.full(len(probe_steps), np.nan) for name in names} for _ in configs]
+    res = [{name: np.full(len(probe_steps), np.nan) for name in names} for _ in lanes]
     lookup = {t: i for i, t in enumerate(probe_steps)}
-    out = [None] * len(configs)
-    states = [None] * len(configs)
-    live = list(range(len(configs)))
+    out = [None] * len(lanes)
+    states = [None] * len(lanes)
+    live = list(range(len(lanes)))
     t = 0
 
     def end(lane, exc):
         nonlocal live
-        exc.args = (f"repeat {repeats[lane]}, step {t}: {exc}",)
+        exc.args = (f"repeat {lanes[lane][1]}, step {t}: {exc}",)
         out[lane] = exc
         # rebinding leaves any loop over the old list undisturbed
         live = [other for other in live if other != lane]
@@ -526,8 +528,8 @@ def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, stats):
                 end(lane, exc)
 
     def start(lane):
-        rng = np.random.default_rng(seeds[lane])
-        states[lane] = init_state(data, configs[lane], rng, retrain=False)
+        config, _, child = lanes[lane]
+        states[lane] = init_state(data, config, np.random.default_rng(child), retrain=False)
 
     def retrain():
         for lane, error in zip(live, _refit([states[lane] for lane in live], schedule)):
@@ -535,7 +537,7 @@ def _run_lanes(data, configs, seeds, repeats, probe_steps, kappas, stats):
                 end(lane, error)
 
     def advance(lane):
-        step(states[lane], configs[lane], retrain=False)
+        step(states[lane], lanes[lane][0], retrain=False)
 
     def observe(lane):
         _observe(states[lane], lookup[t], res[lane], masses, stats)
@@ -618,22 +620,22 @@ def run_many(
     stats=ALL_STATS,
     workers: int = 1,
 ) -> list:
-    """Run the repeats of several configs as one task list.
+    """Run the repeats of several configs as one lockstep group.
 
-    Each (config, repeat) pair is a lane. Lanes whose configs agree on
-    every field but usage_p, adherence_s, seed and repeats advance in
-    lockstep, split into `workers` tasks; SGD lanes share one batched fit
-    per retrain, ridge lanes are fitted one by one. With workers > 1 the
-    parent forks a pool of workers - 1 processes and runs every
-    workers-th task itself while the pool runs the rest; the tasks, their
+    The configs may differ only in usage_p, adherence_s, seed and repeats:
+    the repeats of one config, or the cells of a (p, s) surface. Each
+    (config, repeat) pair is a lane with its own child seed, and all lanes
+    retrain and probe on the same steps; SGD lanes share one batched fit
+    per retrain, ridge lanes are fitted one by one. The lanes are split
+    into min(workers, lanes) tasks: the parent runs the first, and a pool
+    of forked processes runs the rest, one process each. The tasks, their
     lanes and the results are the same at any worker count. Every probe
     writes the core statistics and the OPTIONAL_STATS named in stats, by
-    default all of them; an unknown name raises ValueError, and so do
-    kappas that check_kappas refuses and probes that resolve_probes
-    refuses. Returns one DiagnosticsReport per config, in order, with its
-    repeats' step records, or an exception: the config's row-count error
-    (checked before any lane runs) or the exception of its first failed
-    repeat.
+    default all of them. ValueError, before any lane runs, on configs of
+    two groups, an unknown stats name, kappas that check_kappas refuses,
+    probes that resolve_probes refuses, and a dataset too small for the
+    probed loop. Returns one DiagnosticsReport per config, in order, with
+    its repeats' step records, or the exception of its first failed repeat.
     """
     kappas = check_kappas(kappa_list)
     requested = set(stats)
@@ -641,62 +643,49 @@ def run_many(
     if unknown:
         raise ValueError(f"unknown probe statistics {unknown}; known: {list(OPTIONAL_STATS)}")
     stats = tuple(name for name in OPTIONAL_STATS if name in requested)
-    probe_steps = [resolve_probes(config, probes) for config in configs]
-    reports = [None] * len(configs)
-    groups = {}
-    for index, config in enumerate(configs):
-        try:
-            config.check_rows(data.n_rows, probed=True)
-        except ValueError as exc:
-            reports[index] = exc
-            continue
-        shared = dataclasses.replace(config, usage_p=0.0, adherence_s=0.0, seed=0, repeats=1)
-        for repeat, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.repeats)):
-            groups.setdefault(shared, []).append((index, repeat, child))
-    chunks = []
-    for lanes in groups.values():
-        n = max(1, min(workers, len(lanes)))
-        chunks += [lanes[k * len(lanes) // n : (k + 1) * len(lanes) // n] for k in range(n)]
-    tasks = [
-        (data, [configs[i] for i, _, _ in chunk], [child for _, _, child in chunk],
-         [r for _, r, _ in chunk], probe_steps[chunk[0][0]], kappas, stats)
-        for chunk in chunks
-    ]
-    if workers > 1 and len(tasks) > 1:
+    if not configs:
+        return []
+    schedule = configs[0]
+    differ = sorted({field.name for field in dataclasses.fields(schedule) for config in configs
+                     if field.name not in ("usage_p", "adherence_s", "seed", "repeats")
+                     and getattr(config, field.name) != getattr(schedule, field.name)})
+    if differ:
+        raise ValueError(f"run_many configs may differ only in usage_p, adherence_s, seed "
+                         f"and repeats, not in {differ}")
+    schedule.check_rows(data.n_rows, probed=True)
+    probe_steps = resolve_probes(schedule, probes)
+    lanes = [(config, repeat, child) for config in configs for repeat, child
+             in enumerate(np.random.SeedSequence(config.seed).spawn(config.repeats))]
+    n = max(1, min(workers, len(lanes)))
+    tasks = [(data, lanes[k * len(lanes) // n : (k + 1) * len(lanes) // n], probe_steps, kappas,
+              stats) for k in range(n)]
+    if n > 1:
         from concurrent import futures
 
-        # the parent runs every workers-th task itself, the pool the rest
-        outcomes = [None] * len(tasks)
-        pooled = [k for k in range(len(tasks)) if k % workers]
-        with futures.ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) as pool:
-            pending = {k: pool.submit(_run_lanes, *tasks[k]) for k in pooled}
-            for k in range(0, len(tasks), workers):
-                outcomes[k] = _run_lanes(*tasks[k])
-            for k, future in pending.items():
-                outcomes[k] = future.result()
+        with futures.ProcessPoolExecutor(max_workers=n - 1) as pool:
+            pending = [pool.submit(_run_lanes, *task) for task in tasks[1:]]
+            outcomes = _run_lanes(*tasks[0])
+            for future in pending:
+                outcomes += future.result()
     else:
-        outcomes = [_run_lanes(*task) for task in tasks]
-    results = {}
-    for chunk, outcome in zip(chunks, outcomes):
-        for (index, repeat, _), result in zip(chunk, outcome):
-            results[index, repeat] = result
-    for index, (config, steps) in enumerate(zip(configs, probe_steps)):
-        if reports[index] is not None:
-            continue
-        mine = [results[index, repeat] for repeat in range(config.repeats)]
+        outcomes = _run_lanes(*tasks[0])
+    outcomes = iter(outcomes)
+    reports = []
+    for config in configs:
+        mine = [next(outcomes) for _ in range(config.repeats)]
         failed = [r for r in mine if isinstance(r, Exception)]
         if failed:
-            reports[index] = failed[0]
+            reports.append(failed[0])
             continue
         per_repeat = {name: np.stack([res[name] for res, _ in mine]) for name in mine[0][0]}
         spikes = per_repeat.pop("spike")
-        reports[index] = DiagnosticsReport(
-            probe_steps=steps,
+        reports.append(DiagnosticsReport(
+            probe_steps=probe_steps,
             kappa_list=kappas,
             per_repeat=per_repeat,
             spike_counts=np.sum(spikes, axis=0),
             step_traces=np.stack([record for _, record in mine]).view(np.recarray),
-        )
+        ))
     return reports
 
 
@@ -717,10 +706,10 @@ def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceRes
     Each cell executes ``config.repeats`` independent runs probed only at
     step 0 and the final step; the cell value is the mean final-probe
     residual standard deviation, with the across-repeat deviation kept
-    alongside. A grid value outside the config's range raises ValueError
-    before anything runs. A failing cell records its error, keyed by its
-    (i, j) index, and leaves NaN in the matrices instead of aborting the
-    sweep.
+    alongside. A grid value outside the config's range, or a dataset too
+    small for the probed loop, raises ValueError before anything runs. A
+    cell whose run fails records its error, keyed by its (i, j) index, and
+    leaves NaN in the matrices instead of aborting the sweep.
     """
     p_grid = list(p_grid)
     s_grid = list(s_grid)

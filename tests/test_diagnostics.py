@@ -13,7 +13,13 @@ from loopsim.data import generate_linear
 from loopsim.density import InsufficientSampleError
 from loopsim import engine
 from loopsim.diagnostics import autonomy_fit, breusch_pagan, normality_test
-from loopsim.engine import SETTING_SAMPLING, DiagnosticsReport, LoopConfig, stddev_surface
+from loopsim.engine import (
+    SETTING_SAMPLING,
+    SETTING_SLIDING,
+    DiagnosticsReport,
+    LoopConfig,
+    stddev_surface,
+)
 
 
 # -- normality test ----------------------------------------------------
@@ -316,15 +322,15 @@ def test_surface_zero_usage_rows_do_not_depend_on_s(surface_inputs):
 
 
 def test_surface_collects_cell_errors():
-    # a window too small to fit a model: the cell must fail in isolation
-    data = generate_linear(12, 40, noise_variance=1.0, seed=22)
-    base = LoopConfig(setting=SETTING_SAMPLING, total_steps=5, usage_p=0.5,
-                      adherence_s=1.0, seed=3, repeats=1)
-    surf = stddev_surface(data, (0.0, 1.0), (0.0,), base)
-    # every cell shares the degenerate dataset, so all fail; the sweep
-    # itself must survive and report per-cell messages
-    assert set(surf.errors) == {(0, 0), (1, 0)}
-    assert np.all(np.isnan(surf.mean))
+    # adherence 1e6 on every retrain overflows the targets where the
+    # predictions are used: that cell must fail in isolation
+    data = generate_linear(200, 3, noise_variance=1.0, seed=42)
+    base = LoopConfig(setting=SETTING_SLIDING, total_steps=140, usage_p=0.5,
+                      adherence_s=1.0, retrain_period=1, seed=703, repeats=1)
+    surf = stddev_surface(data, (0.0, 1.0), (1e6,), base)
+    # the sweep itself must survive and report per-cell messages
+    assert surf.errors == {(1, 0): "repeat 0, step 94: training targets are not finite"}
+    assert np.isfinite(surf.mean[0, 0]) and np.isnan(surf.mean[1, 0])
 
 
 def test_surface_rejects_out_of_range_grid_before_running(surface_inputs, monkeypatch):

@@ -401,25 +401,44 @@ def test_run_many_matches_run_per_config_at_any_worker_count():
 
 
 def test_run_many_returns_a_failed_config_as_its_exception():
-    # 20 training rows cannot fit 40 columns exactly; the penalized config still reports
-    wide = generate_linear(25, 40, noise_variance=1.0, seed=22)
-    bad = cfg(total_steps=5, repeats=2)
-    good = cfg(total_steps=5, repeats=1, model="ridge_regularized")
-    reports = run_many(wide, [bad, good], (), [0.1], workers=2)
+    # adherence 1e6 on every retrain overflows the targets of the first
+    # config's lanes; the second config shares their lockstep group and still reports
+    data = generate_linear(200, 3, noise_variance=1.0, seed=42)
+    bad = cfg(setting=SETTING_SLIDING, total_steps=140, adherence_s=1e6, retrain_period=1,
+              seed=703, repeats=2)
+    good = dataclasses.replace(bad, adherence_s=1.0, repeats=1)
+    reports = run_many(data, [bad, good], (), [0.1], workers=2)
     assert isinstance(reports[0], ValueError)
-    assert "singular" in str(reports[0])
+    assert str(reports[0]) == "repeat 0, step 94: training targets are not finite"
     assert reports[1].repeats_aggregated == 1
-    with pytest.raises(ValueError, match="singular"):
-        run(wide, bad, probes=(), kappa_list=[0.1])
+    with pytest.raises(ValueError, match="training targets are not finite"):
+        run(data, bad, probes=(), kappa_list=[0.1])
 
 
-def test_run_many_returns_a_too_small_active_set_as_its_exception():
+def _refuse(*args, **kwargs):
+    raise AssertionError("no lane may run")
+
+
+def test_run_many_refuses_a_too_small_active_set_before_any_lane_runs(monkeypatch):
     data = generate_linear(60, 3, noise_variance=1.0, seed=23)
     small = cfg(setting=SETTING_SLIDING, total_steps=5, repeats=1)
-    reports = run_many(data, [small, cfg(total_steps=5, repeats=1)], (), [0.1])
-    assert isinstance(reports[0], ValueError)
-    assert "at least 20 items, got 18" in str(reports[0])
-    assert reports[1].repeats_aggregated == 1
+    monkeypatch.setattr(engine, "_run_lanes", _refuse)
+    with pytest.raises(ValueError, match="at least 20 items, got 18"):
+        run_many(data, [small, dataclasses.replace(small, usage_p=0.5)], (), [0.1])
+    with pytest.raises(ValueError, match="at least 20 items, got 18"):
+        engine.stddev_surface(data, (0.0, 1.0), (0.0,), small)
+
+
+def test_run_many_refuses_configs_of_two_lockstep_groups_before_any_lane_runs(monkeypatch):
+    data = generate_linear(80, 3, noise_variance=1.0, seed=23)
+    a = cfg(total_steps=20, repeats=1)
+    monkeypatch.setattr(engine, "_run_lanes", _refuse)
+    assert run_many(data, [], (), [0.1]) == []
+    with pytest.raises(ValueError, match=r"not in \['retrain_period'\]"):
+        run_many(data, [a, dataclasses.replace(a, usage_p=0.5, retrain_period=5)], (), [0.1])
+    with pytest.raises(ValueError, match=r"not in \['model', 'total_steps'\]"):
+        run_many(data, [a, dataclasses.replace(a, total_steps=30),
+                        dataclasses.replace(a, model="sgd", seed=4)], (), [0.1])
 
 
 def _sgd_cells():
@@ -505,14 +524,14 @@ def test_each_step_predicts_the_bits_of_predict_on_its_row(setting):
     assert retrains == config.total_steps // config.retrain_period
 
 
-def _two_groups():
-    """Configs in two lockstep groups (they differ in retrain_period) of 4
-    lanes each: more tasks than workers at workers 2 and 3."""
+def _many_lanes():
+    """Configs of one lockstep group with 8 lanes in all: more lanes than
+    workers at workers 2 and 3."""
     data = generate_linear(200, 4, noise_variance=1.0, seed=25)
     a = cfg(total_steps=80, usage_p=0.5, adherence_s=1.5, retrain_period=10, probe_every=20,
             repeats=1, seed=3)
     b = dataclasses.replace(a, usage_p=0.9, repeats=3, seed=4)
-    c = dataclasses.replace(a, retrain_period=8, repeats=4, seed=5)
+    c = dataclasses.replace(a, adherence_s=0.5, repeats=4, seed=5)
     return data, [a, b, c]
 
 
@@ -522,7 +541,7 @@ def _report_bytes(report):
 
 
 def test_run_many_keeps_its_bits_when_the_parent_runs_a_share_of_the_tasks():
-    data, configs = _two_groups()
+    data, configs = _many_lanes()
     reports = {workers: run_many(data, configs, None, [0.1, 0.3], workers=workers)
                for workers in (1, 2, 3)}
     for serial, two, three in zip(reports[1], reports[2], reports[3]):
@@ -535,9 +554,9 @@ def test_run_many_keeps_its_bits_when_the_parent_runs_a_share_of_the_tasks():
                     reason="pool workers see the patched engine only when forked")
 def test_a_lane_failing_in_the_parents_share_is_named_and_leaves_its_chunk_mates_alone(
         monkeypatch):
-    # at workers=2 the parent runs task 0, the first group's first two
-    # lanes: repeat 0 of configs[0] and repeat 0 of configs[1]
-    data, configs = _two_groups()
+    # at workers=2 the parent runs task 0, the first four of the 8 lanes:
+    # repeat 0 of configs[0] and repeats 0-2 of configs[1]
+    data, configs = _many_lanes()
     serial = run_many(data, configs, None, [0.1])
     parent, real_step, failed = os.getpid(), engine.step, []
 
@@ -560,7 +579,7 @@ def test_a_lane_failing_in_the_parents_share_is_named_and_leaves_its_chunk_mates
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="pool workers see the patched engine only when forked")
 def test_a_raising_parent_share_leaves_no_pool_process_behind(monkeypatch):
-    data, configs = _two_groups()
+    data, configs = _many_lanes()
     parent, real_refit = os.getpid(), engine._refit
 
     def refit_outside_the_pool(states, config):
@@ -571,6 +590,28 @@ def test_a_raising_parent_share_leaves_no_pool_process_behind(monkeypatch):
     monkeypatch.setattr(engine, "_refit", refit_outside_the_pool)
     with pytest.raises(MemoryError, match="no refit in the parent"):
         run_many(data, configs, None, [0.1], workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers, repeats, pools", [(1, 8, []), (2, 8, [1]), (3, 8, [2]),
+                                                      (4, 3, [2])])
+def test_run_many_forks_one_process_per_task_but_the_parents(workers, repeats, pools,
+                                                             monkeypatch):
+    from concurrent import futures
+
+    data, (config, *_) = _many_lanes()
+    sizes, real_pool = [], futures.ProcessPoolExecutor
+
+    class RecordingPool(real_pool):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    (report,) = run_many(data, [dataclasses.replace(config, repeats=repeats)], (), [0.1],
+                         workers=workers)
+    assert report.repeats_aggregated == repeats
+    assert sizes == pools
     assert multiprocessing.active_children() == []
 
 
@@ -647,15 +688,15 @@ def _columns(stats) -> set:
 
 @pytest.fixture(scope="module")
 def stats_runs():
-    """run_many over a sampling and a sliding config, for a given stats
-    tuple; and its result with every statistic."""
+    """run_many on a sampling and on a sliding config, one call each, for a
+    given stats tuple; and its results with every statistic."""
     data = generate_linear(120, 4, noise_variance=1.0, seed=16)
     configs = [cfg(total_steps=60, adherence_s=1.5, repeats=2, probe_every=20),
                cfg(setting=SETTING_SLIDING, total_steps=60, usage_p=0.5, repeats=2,
                    probe_every=20)]
 
     def go(**options):
-        return run_many(data, configs, None, [0.1, 0.5], **options)
+        return [run_many(data, [config], None, [0.1, 0.5], **options)[0] for config in configs]
 
     return go, go(stats=engine.ALL_STATS)
 

@@ -741,8 +741,14 @@ def test_cli_run_names_the_missing_file_of_a_dataset(tmp_path, capsys, missing):
      "weights shape (1,) does not match 3 feature columns"),
     ({"generator_tag": "linear", "seed": 2, "noise_variance": 1.0,
       "weights": [1.0, float("nan"), 2.0]}, "weights are not finite"),
+    ({"generator_tag": "linear", "seed": 2, "noise_variance": 1.0, "weights": ["a", 1, 2]},
+     "sidecar {} 'weights' must be a list of numbers, got [\"a\", 1, 2]"),
+    ({"generator_tag": "linear", "seed": 2, "noise_variance": 1.0, "rows": 5, "columns": 99},
+     "sidecar {} 'rows' is 5, the CSV has 80"),
+    ({"generator_tag": "linear", "seed": 2, "noise_variance": 1.0, "rows": 80, "columns": 99},
+     "sidecar {} 'columns' is 99, the CSV has 3"),
 ], ids=["no-tag", "no-seed", "no-noise", "no-key", "array", "null-seed", "text-noise",
-        "short-weights", "nan-weights"])
+        "short-weights", "nan-weights", "text-weights", "wrong-rows", "wrong-columns"])
 def test_cli_run_names_a_malformed_dataset_sidecar(tmp_path, capsys, sidecar, message):
     csv_path, sidecar_path = write_dataset(
         generate_linear(80, 3, noise_variance=1.0, seed=2), tmp_path / "data.csv")
@@ -754,6 +760,20 @@ def test_cli_run_names_a_malformed_dataset_sidecar(tmp_path, capsys, sidecar, me
     assert code == 2
     assert capsys.readouterr().err == (
         f"config error: {csv_path}: {message.format(sidecar_path)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--experiment", "autonomy", "--rows", "200", "--steps", "40", "--repeats", "1",
+     "--seed", "-1"],
+    ["run", "--experiment", "autonomy", "--rows", "200", "--steps", "40", "--repeats", "1",
+     "--data-seed", "-1"],
+    ["gen-data", "--rows", "50", "--cols", "3", "--seed", "-1"],
+], ids=["seed", "data-seed", "gen-data"])
+def test_cli_refuses_a_negative_seed_by_name_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: seed must be a nonnegative integer, got -1\n"
     assert not out.exists()
 
 

@@ -1,6 +1,6 @@
 """Package surface: the star import, the export list, the version, no
-unused import, the import order of the modules, and no documented command
-the CLI lacks."""
+unused import, the import order of the modules, no documented command
+the CLI lacks, and README's Python examples run."""
 
 import argparse
 import ast
@@ -143,3 +143,11 @@ def test_documented_commands_are_the_cli_subcommands():
     documented = _documented_commands()
     assert {(name, word) for name, word in documented if word not in commands.choices} == set()
     assert set(commands.choices) <= {word for name, word in documented if name == "README.md"}
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})
