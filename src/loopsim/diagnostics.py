@@ -2,7 +2,9 @@
 
 Covers residual normality testing, the robust log-linear autonomy fit,
 and the Breusch-Pagan homoscedasticity check on fit residuals. The
-report of a run and the (usage, adherence) surface are engine's.
+report of a run and the (usage, adherence) surface are engine's. The
+chi-square tails of both tests import scipy.special on the first call,
+so importing this module loads numpy only.
 """
 
 import math
@@ -10,7 +12,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from loopsim.density import InsufficientSampleError
 from loopsim.regressors import fit_huber_line
@@ -58,6 +59,8 @@ def normality_test(sample) -> tuple[float, float]:
     Constant samples, and samples whose fourth powers leave the float
     range (scales above about 1e75 or below 1e-75), give NaN as in scipy.
     """
+    from scipy import special
+
     arr = np.asarray(sample, dtype=float)
     if arr.ndim != 1 or arr.size < 20:
         raise InsufficientSampleError(f"normality test needs >= 20 points, got {arr.size}")
@@ -128,6 +131,8 @@ def breusch_pagan(residuals, regressor) -> float:
     of two near their largest magnitude, so every other p-value keeps its
     bits.
     """
+    from scipy import special
+
     e = np.asarray(residuals, dtype=float)
     x = np.asarray(regressor, dtype=float)
     if e.shape != x.shape or e.ndim != 1:

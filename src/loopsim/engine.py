@@ -25,7 +25,9 @@ repeat) pair: the lanes of one run_many call advance in lockstep, and SGD
 lanes share one batched fit per retrain.
 """
 
+import contextlib
 import dataclasses
+import importlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -240,6 +242,13 @@ def _attempt(fit, *args):
         return fit(*args)
     except Exception as exc:
         return exc
+
+
+def _name_failure(exc: Exception, repeat: int, t: int) -> None:
+    """Prefix exc's message with the repeat and the step that it ended."""
+    exc.args = (f"repeat {repeat}, step {t}: {exc}",)
+    if isinstance(exc, ImportError):
+        exc.msg = exc.args[0]  # an ImportError prints its msg, not its args
 
 
 def _refit(states: list, config: LoopConfig) -> list:
@@ -515,7 +524,7 @@ def _run_lanes(data, lanes, probe_steps, kappas, stats):
 
     def end(lane, exc):
         nonlocal live
-        exc.args = (f"repeat {lanes[lane][1]}, step {t}: {exc}",)
+        _name_failure(exc, lanes[lane][1], t)
         out[lane] = exc
         # rebinding leaves any loop over the old list undisturbed
         live = [other for other in live if other != lane]
@@ -572,7 +581,7 @@ def derive_kappas(data: Dataset, config: LoopConfig) -> list[float]:
     try:
         _retrain(state, config)
     except Exception as exc:
-        exc.args = (f"repeat 0, step 0: {exc}",)
+        _name_failure(exc, 0, 0)
         raise
     sd0 = spread(state.residuals())
     if sd0 > 0 and math.isfinite(sd0):
@@ -628,7 +637,10 @@ def run_many(
     retrain and probe on the same steps; SGD lanes share one batched fit
     per retrain, ridge lanes are fitted one by one. The lanes are split
     into min(workers, lanes) tasks: the parent runs the first, and a pool
-    of forked processes runs the rest, one process each. The tasks, their
+    of forked processes runs the rest, one process each. Before the fork
+    the parent loads the scipy modules the lanes will call, so the workers
+    share them: scipy.linalg.lapack unless the model is SGD, and
+    scipy.special when normality_p is among the stats. The tasks, their
     lanes and the results are the same at any worker count. Every probe
     writes the core statistics and the OPTIONAL_STATS named in stats, by
     default all of them. ValueError, before any lane runs, on configs of
@@ -662,6 +674,13 @@ def run_many(
     if n > 1:
         from concurrent import futures
 
+        # the workers share the parent's copy of what it loads before the fork;
+        # an import that fails here fails again, named, in the lane that needs it
+        with contextlib.suppress(ImportError):
+            if schedule.model != SOLVER_SGD:
+                importlib.import_module("scipy.linalg.lapack")  # fit_ridge
+            if "normality_p" in stats:
+                importlib.import_module("scipy.special")  # normality_test
         with futures.ProcessPoolExecutor(max_workers=n - 1) as pool:
             pending = [pool.submit(_run_lanes, *task) for task in tasks[1:]]
             outcomes = _run_lanes(*tasks[0])

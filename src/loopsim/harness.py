@@ -145,7 +145,8 @@ class ExperimentConfig(LoopDefaults):
         return Path(os.environ.get("LOOPSIM_OUT", "loopsim_out"))
 
     def resolved_workers(self) -> int:
-        """workers, else LOOPSIM_WORKERS, else one per CPU; 0 means unset."""
+        """workers, else LOOPSIM_WORKERS, else one per CPU this process may
+        run on; 0 means unset."""
         source, value = "workers", self.workers
         env = os.environ.get("LOOPSIM_WORKERS", "")
         if value == 0 and env.strip():
@@ -156,7 +157,11 @@ class ExperimentConfig(LoopDefaults):
                 raise ConfigError(f"LOOPSIM_WORKERS must be an integer, got {env!r}") from exc
         if value < 0:
             raise ConfigError(f"{source} must be nonnegative, got {value}")
-        return value or os.cpu_count() or 1
+        if value:
+            return value
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
 
 def parse_config_file(path) -> dict:

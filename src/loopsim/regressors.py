@@ -6,14 +6,14 @@ plus a robust Huber line fitter used by the autonomy diagnostics. All
 fitters model an unpenalized intercept and are deterministic functions of
 their inputs. The SGD step schedule (SGD_ETA0, SGD_DECAY) and the Huber
 threshold (HUBER_DELTA) are constants, not options: every caller fits
-with the same ones.
+with the same ones. The ridge solve imports scipy.linalg.lapack on its
+first call, so importing this module, or fitting by SGD, loads numpy only.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 SOLVER_SGD = "sgd"
 SOLVER_RIDGE_EXACT = "ridge_exact"
@@ -137,6 +137,8 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
     raise ValueError before any arithmetic; the features are taken to be
     finite (Dataset checks them once).
     """
+    import scipy.linalg.lapack as lapack
+
     X, y = _as_xy(features, targets)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 training rows")
@@ -154,7 +156,7 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
     # cho_solve(cho_factor(gram), rhs) without its wrappers: the same LAPACK
     # calls and finiteness checks
     _check_finite(gram)
-    factor, info = dpotrf(gram, lower=0, clean=0)
+    factor, info = lapack.dpotrf(gram, lower=0, clean=0)
     # at regularization 0, a pivot this small is rounding, not rank
     threshold = d * 2.0**-52 * gram.diagonal().max()
     if info > 0 or (regularization == 0 and factor.diagonal().min() ** 2 < threshold):
@@ -165,7 +167,7 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
         )
     rhs = Xc.T @ yc
     _check_finite(rhs)
-    w, _ = dpotrs(factor, rhs, lower=0)
+    w, _ = lapack.dpotrs(factor, rhs, lower=0)
     b = y_mean - x_mean @ w
     return TrainedModel(w, float(b), 1)
 

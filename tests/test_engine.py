@@ -5,6 +5,8 @@ import itertools
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import types
 import warnings
 
@@ -613,6 +615,68 @@ def test_run_many_forks_one_process_per_task_but_the_parents(workers, repeats, p
     assert report.repeats_aggregated == repeats
     assert sizes == pools
     assert multiprocessing.active_children() == []
+
+
+def _fresh_interpreter(script: str) -> str:
+    """The standard output of script, run by a new interpreter on this loopsim."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("model, call, loaded", [
+    ("ridge_exact", "stddev_surface(data, [0, 1], [1.0], config, workers=2)",
+     ["scipy.linalg.lapack"]),
+    ("ridge_exact", "run(data, config, kappa_list=[0.1], workers=2)",
+     ["scipy.linalg.lapack", "scipy.special"]),
+    ("sgd", "stddev_surface(data, [0, 1], [1.0], config, workers=2)", []),
+], ids=["ridge-surface", "ridge-run-all-stats", "sgd-surface"])
+def test_the_pool_forks_with_exactly_the_scipy_modules_its_lanes_call(model, call, loaded):
+    """In a fresh interpreter, the scipy modules loaded when run_many builds
+    its pool, which the forked workers then share."""
+    script = (
+        "import sys\n"
+        "from concurrent import futures\n"
+        "from loopsim.data import generate_linear\n"
+        "from loopsim.engine import LoopConfig, run, stddev_surface\n"
+        "seen = []\n"
+        "class RecordingPool(futures.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        seen.append([m for m in ('scipy.linalg.lapack', 'scipy.special')"
+        " if m in sys.modules])\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "futures.ProcessPoolExecutor = RecordingPool\n"
+        "data = generate_linear(200, 4, noise_variance=1.0, seed=25)\n"
+        "config = LoopConfig(setting='sampling_update', total_steps=20, usage_p=0.5,\n"
+        f"                    adherence_s=1.0, seed=3, repeats=2, model={model!r})\n"
+        f"{call}\n"
+        "print(seen)\n"
+    )
+    assert _fresh_interpreter(script) == f"{[loaded]}\n"
+
+
+def test_without_scipy_an_sgd_run_completes_and_a_ridge_run_fails_by_repeat_and_step():
+    script = (
+        "import dataclasses, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from loopsim import LoopConfig, generate_linear, run\n"
+        "data = generate_linear(200, 4, noise_variance=1.0, seed=25)\n"
+        "config = LoopConfig(setting='sampling_update', total_steps=20, usage_p=0.5,\n"
+        "                    adherence_s=1.0, seed=3, repeats=2, model='sgd')\n"
+        "print(run(data, config, stats=()).repeats_aggregated)\n"
+        "for kappas, workers in ((None, 1), ([0.1], 1), ([0.1], 2)):\n"
+        "    try:\n"
+        "        run(data, dataclasses.replace(config, model='ridge_exact'), kappa_list=kappas,\n"
+        "            stats=(), workers=workers)\n"
+        "    except ImportError as exc:\n"
+        "        print(exc)\n"
+    )
+    out = _fresh_interpreter(script).splitlines()
+    assert out[0] == "2"
+    assert len(out) == 4
+    assert all(line.startswith("repeat 0, step 0: No module named 'scipy.linalg'")
+               for line in out[1:])
 
 
 @pytest.mark.parametrize("seed", range(8))

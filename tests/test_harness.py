@@ -478,6 +478,16 @@ def test_workers_env_must_be_integer(monkeypatch):
         build_config(raw_config(workers="-3")).resolved_workers()
 
 
+def test_default_workers_count_only_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.delenv("LOOPSIM_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert build_config(raw_config()).resolved_workers() == 1
+    assert build_config(raw_config(workers="3")).resolved_workers() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert build_config(raw_config()).resolved_workers() == 8
+
+
 # -- command line ----------------------------------------------------------
 
 def test_cli_gen_data_writes_csv_and_sidecar(tmp_path, capsys):
@@ -793,23 +803,42 @@ def test_cli_run_refuses_a_psi_out_of_range_before_any_output(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_cli_run_path_loads_neither_scipy_stats_nor_integrate(tmp_path):
-    """A fresh interpreter that imports loopsim.cli loads no scipy.stats and
-    no scipy.integrate; analytic_demo then loads scipy.integrate on first use."""
+def test_each_command_loads_only_the_scipy_modules_it_calls(tmp_path):
+    """A fresh interpreter that imports loopsim.cli loads no scipy module,
+    nor do gen-data, an SGD sweep at workers 1 and 2, and a report over it.
+    A ridge autonomy run then loads scipy.linalg for its fits and
+    scipy.special for its p-value; analytic_demo loads scipy.integrate."""
+    data = ["--kind", "linear", "--rows", "80", "--cols", "3", "--data-seed", "5"]
+    sweep = ["run", "--experiment", "sweep", *data, "--setting", "sliding", "--model", "sgd",
+             "--steps", "25", "--repeats", "1", "--usage-grid", "0,1", "--adherence-grid", "0"]
+    commands = [
+        ["gen-data", "--rows", "40", "--cols", "3", "--out-dir", str(tmp_path / "data")],
+        [*sweep, "--workers", "1", "--out-dir", str(tmp_path / "w1")],
+        [*sweep, "--workers", "2", "--out-dir", str(tmp_path / "w2")],
+        ["report", str(tmp_path / "w1" / "manifest.json"), "--out-dir", str(tmp_path / "rep")],
+        ["run", "--experiment", "autonomy", *data, "--setting", "sampling", "--steps", "40",
+         "--probe-every", "4", "--repeats", "1", "--out-dir", str(tmp_path / "autonomy")],
+        ["run", "--experiment", "analytic_demo", "--out-dir", str(tmp_path / "analytic")],
+    ]
     script = (
-        "import sys; from loopsim import cli\n"
-        "heavy = ('scipy.stats', 'scipy.integrate')\n"
-        "print([m for m in heavy if m in sys.modules])\n"
-        f"code = cli.main(['run', '--experiment', 'analytic_demo', '--out-dir', {str(tmp_path)!r}])\n"
-        "print(code, [m for m in heavy if m in sys.modules])\n"
+        "import contextlib, io, sys; from loopsim import cli\n"
+        "watched = ('scipy', 'scipy.linalg', 'scipy.special', 'scipy.integrate', 'scipy.stats')\n"
+        "print([m for m in watched if m in sys.modules])\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(code, [m for m in watched if m in sys.modules])\n"
     )
     src = str(Path(loopsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert out[0] == "[]"
-    assert out[-1] == "0 ['scipy.integrate']"
-    assert (tmp_path / "analytic.csv").read_text().startswith("t,stat_name,value\n1,psi,2\n")
+    ridge = ["scipy", "scipy.linalg", "scipy.special"]
+    assert out == ["[]"] + ["0 []"] * 4 + [f"0 {ridge}", f"0 {[*ridge, 'scipy.integrate']}"]
+    summary = json.loads((tmp_path / "autonomy" / "summary.json").read_text(encoding="utf-8"))
+    assert 0 <= summary["fits"]["full"]["bp_pvalue"] <= 1
+    assert (tmp_path / "analytic" / "analytic.csv").read_text().startswith(
+        "t,stat_name,value\n1,psi,2\n")
 
 
 def test_cli_from_manifest_refuses_another_tool_version(trace_run, tmp_path, capsys):
