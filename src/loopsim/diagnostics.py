@@ -2,9 +2,9 @@
 
 Covers residual normality testing, the robust log-linear autonomy fit,
 and the Breusch-Pagan homoscedasticity check on fit residuals. The
-report of a run and the (usage, adherence) surface are engine's. The
-chi-square tails of both tests import scipy.special on the first call,
-so importing this module loads numpy only.
+report of a run and the (usage, adherence) surface are engine's. Both
+tests refer their statistic to a chi-square tail with 1 or 2 degrees of
+freedom, which has a closed form, so this module needs numpy only.
 """
 
 import math
@@ -55,12 +55,12 @@ def normality_test(sample) -> tuple[float, float]:
     least 20 points for the transforms to be calibrated.
 
     A port of scipy.stats.normaltest (skewtest + kurtosistest) that keeps
-    scipy's order of operations, so both values match it bit for bit.
+    scipy's order of operations, so K^2 matches it bit for bit. The
+    p-value is the closed-form chi-square(2) tail exp(-K^2 / 2), which
+    agrees with scipy's to rounding but not always to the last bit.
     Constant samples, and samples whose fourth powers leave the float
     range (scales above about 1e75 or below 1e-75), give NaN as in scipy.
     """
-    from scipy import special
-
     arr = np.asarray(sample, dtype=float)
     if arr.ndim != 1 or arr.size < 20:
         raise InsufficientSampleError(f"normality test needs >= 20 points, got {arr.size}")
@@ -94,7 +94,7 @@ def normality_test(sample) -> tuple[float, float]:
         term2 = np.nan if denom == 0 else np.sign(denom) * ((1-2.0/a)/np.abs(denom))**(1/3)
         z_kurt = (term1 - term2) / (2/(9.0*a))**0.5
         statistic = z_skew*z_skew + z_kurt*z_kurt
-    return float(statistic), float(special.chdtrc(2.0, statistic))
+    return float(statistic), math.exp(-statistic / 2)
 
 
 # below this, subnormal squared deviations can reach the last bits of ss_tot
@@ -113,8 +113,8 @@ def _bp_lm(e, x) -> float:
     slope, intercept = np.polyfit(x, e2, 1)
     resid_aux = e2 - (slope * x + intercept)
     r2_aux = 1.0 - float(np.sum(resid_aux**2)) / ss_tot
-    # rounding can leave R^2 a hair below 0, where chdtrc gives NaN and the
-    # chi-square survival function 1
+    # rounding can leave R^2 a hair below 0, where the square root of the
+    # tail is undefined and the chi-square survival function is 1
     return max(e.size * r2_aux, 0.0)
 
 
@@ -122,7 +122,8 @@ def breusch_pagan(residuals, regressor) -> float:
     """Breusch-Pagan LM test for homoscedasticity against one regressor.
 
     Auxiliary OLS of squared residuals on the regressor; LM = n * R^2 of
-    that regression, referred to chi-square with 1 degree of freedom.
+    that regression, referred to chi-square with 1 degree of freedom,
+    whose tail is erfc(sqrt(LM / 2)).
     Degenerate cases (all-zero residuals, or squared residuals that carry
     no variance) are perfectly homoscedastic by convention: p = 1. LM does
     not depend on the scale of the residuals: where the squares of their
@@ -131,8 +132,6 @@ def breusch_pagan(residuals, regressor) -> float:
     of two near their largest magnitude, so every other p-value keeps its
     bits.
     """
-    from scipy import special
-
     e = np.asarray(residuals, dtype=float)
     x = np.asarray(regressor, dtype=float)
     if e.shape != x.shape or e.ndim != 1:
@@ -151,7 +150,7 @@ def breusch_pagan(residuals, regressor) -> float:
         lm = _bp_lm(e / scale, x)
         if math.isnan(lm):
             return 1.0
-    return float(special.chdtrc(1.0, lm))
+    return math.erfc(math.sqrt(lm / 2))
 
 
 def autonomy_fit(steps, psi_values, segment=None) -> AutonomyFit:

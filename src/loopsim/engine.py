@@ -25,9 +25,7 @@ repeat) pair: the lanes of one run_many call advance in lockstep, and SGD
 lanes share one batched fit per retrain.
 """
 
-import contextlib
 import dataclasses
-import importlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -247,8 +245,6 @@ def _attempt(fit, *args):
 def _name_failure(exc: Exception, repeat: int, t: int) -> None:
     """Prefix exc's message with the repeat and the step that it ended."""
     exc.args = (f"repeat {repeat}, step {t}: {exc}",)
-    if isinstance(exc, ImportError):
-        exc.msg = exc.args[0]  # an ImportError prints its msg, not its args
 
 
 def _refit(states: list, config: LoopConfig) -> list:
@@ -637,17 +633,16 @@ def run_many(
     retrain and probe on the same steps; SGD lanes share one batched fit
     per retrain, ridge lanes are fitted one by one. The lanes are split
     into min(workers, lanes) tasks: the parent runs the first, and a pool
-    of forked processes runs the rest, one process each. Before the fork
-    the parent loads the scipy modules the lanes will call, so the workers
-    share them: scipy.linalg.lapack unless the model is SGD, and
-    scipy.special when normality_p is among the stats. The tasks, their
-    lanes and the results are the same at any worker count. Every probe
-    writes the core statistics and the OPTIONAL_STATS named in stats, by
-    default all of them. ValueError, before any lane runs, on configs of
-    two groups, an unknown stats name, kappas that check_kappas refuses,
-    probes that resolve_probes refuses, and a dataset too small for the
-    probed loop. Returns one DiagnosticsReport per config, in order, with
-    its repeats' step records, or the exception of its first failed repeat.
+    of forked processes runs the rest, one process each. The lanes call
+    numpy only, so a forked worker imports nothing of its own. The tasks,
+    their lanes and the results are the same at any worker count. Every
+    probe writes the core statistics and the OPTIONAL_STATS named in
+    stats, by default all of them. ValueError, before any lane runs, on
+    configs of two groups, an unknown stats name, kappas that check_kappas
+    refuses, probes that resolve_probes refuses, and a dataset too small
+    for the probed loop. Returns one DiagnosticsReport per config, in
+    order, with its repeats' step records, or the exception of its first
+    failed repeat.
     """
     kappas = check_kappas(kappa_list)
     requested = set(stats)
@@ -674,13 +669,6 @@ def run_many(
     if n > 1:
         from concurrent import futures
 
-        # the workers share the parent's copy of what it loads before the fork;
-        # an import that fails here fails again, named, in the lane that needs it
-        with contextlib.suppress(ImportError):
-            if schedule.model != SOLVER_SGD:
-                importlib.import_module("scipy.linalg.lapack")  # fit_ridge
-            if "normality_p" in stats:
-                importlib.import_module("scipy.special")  # normality_test
         with futures.ProcessPoolExecutor(max_workers=n - 1) as pool:
             pending = [pool.submit(_run_lanes, *task) for task in tasks[1:]]
             outcomes = _run_lanes(*tasks[0])

@@ -6,8 +6,8 @@ plus a robust Huber line fitter used by the autonomy diagnostics. All
 fitters model an unpenalized intercept and are deterministic functions of
 their inputs. The SGD step schedule (SGD_ETA0, SGD_DECAY) and the Huber
 threshold (HUBER_DELTA) are constants, not options: every caller fits
-with the same ones. The ridge solve imports scipy.linalg.lapack on its
-first call, so importing this module, or fitting by SGD, loads numpy only.
+with the same ones. Every fitter is numpy-only: the ridge solve factors
+with numpy's Cholesky, so no fit loads scipy.
 """
 
 import math
@@ -55,7 +55,10 @@ def fit_sgd(features, targets, max_iterations: int, seed: int) -> TrainedModel:
     Steps follow the fixed SGD_ETA0/SGD_DECAY schedule. Pass order is a
     fresh permutation per epoch from a generator seeded by ``seed``, so the
     fit is a deterministic function of (data, seed, max_iterations); the
-    loop passes LoopConfig.sgd_iterations. Never raises on degenerate data;
+    loop passes LoopConfig.sgd_iterations. The fit stops before that once a
+    pass moves no parameter by more than 1e-12 of the largest parameter,
+    so scaling the targets by a power of two scales the fit by it exactly.
+    Never raises on degenerate data;
     returns the best-effort parameters instead. This is the one-lane call
     of ``fit_sgd_lanes``.
     """
@@ -110,11 +113,12 @@ def fit_sgd_lanes(features, targets, max_iterations: int, seeds) -> list[Trained
             t += 1
         W[live], B[live] = w, b
         epochs[live] += 1
-        # stop a lane once a full pass no longer moves its parameters; the
-        # where() keeps Python's max(), which skips a NaN second argument
-        dw = np.max(np.abs(w - w_prev), axis=1)
-        db = np.abs(b - b_prev)
-        live = live[~(np.where(db > dw, db, dw) < 1e-12)]
+        # stop a lane once a full pass moves no parameter by more than 1e-12
+        # of its largest parameter, so the rule does not depend on the scale
+        # of the targets; a lane with a non-finite parameter keeps running
+        size = np.maximum(np.max(np.abs(w), axis=1), np.abs(b))
+        move = np.maximum(np.max(np.abs(w - w_prev), axis=1), np.abs(b - b_prev))
+        live = live[~(np.isfinite(size) & (move <= 1e-12 * size))]
         if live.size == 0:
             break
     return [
@@ -128,17 +132,15 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
 
     Solved in closed form: center X and y, Cholesky-solve the regularized
     normal equations for w, recover the intercept from the means. The
-    solve is LAPACK's dpotrf/dpotrs, called as scipy's cho_factor and
-    cho_solve call them, so the bits are theirs. With regularization 0
-    this is ordinary least squares and raises ValueError when the factor
-    fails or its smallest squared pivot is below d * 2**-52 times the
-    largest diagonal entry of the centered Gram matrix, so an exactly
-    collinear design is refused whatever the rounding. Non-finite targets
-    raise ValueError before any arithmetic; the features are taken to be
-    finite (Dataset checks them once).
+    factor is numpy's lower Cholesky factor L, and the solve takes L and
+    then its transpose. ValueError when the factor fails; with
+    regularization 0 this is ordinary least squares and also raises when
+    the smallest squared pivot is below d * 2**-52 times the largest
+    diagonal entry of the centered Gram matrix, so an exactly collinear
+    design is refused whatever the rounding. Non-finite targets raise
+    ValueError before any arithmetic; the features are taken to be finite
+    (Dataset checks them once).
     """
-    import scipy.linalg.lapack as lapack
-
     X, y = _as_xy(features, targets)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 training rows")
@@ -153,13 +155,14 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
     yc = y - y_mean
     d = X.shape[1]
     gram = Xc.T @ Xc + regularization * np.eye(d)
-    # cho_solve(cho_factor(gram), rhs) without its wrappers: the same LAPACK
-    # calls and finiteness checks
     _check_finite(gram)
-    factor, info = lapack.dpotrf(gram, lower=0, clean=0)
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        lower = None
     # at regularization 0, a pivot this small is rounding, not rank
     threshold = d * 2.0**-52 * gram.diagonal().max()
-    if info > 0 or (regularization == 0 and factor.diagonal().min() ** 2 < threshold):
+    if lower is None or (regularization == 0 and lower.diagonal().min() ** 2 < threshold):
         rank = np.linalg.matrix_rank(Xc, tol=math.sqrt(threshold))
         raise ValueError(
             f"normal matrix is singular at regularization {regularization:g}: "
@@ -167,7 +170,7 @@ def fit_ridge(features, targets, regularization: float = 0.0) -> TrainedModel:
         )
     rhs = Xc.T @ yc
     _check_finite(rhs)
-    w, _ = lapack.dpotrs(factor, rhs, lower=0)
+    w = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
     b = y_mean - x_mean @ w
     return TrainedModel(w, float(b), 1)
 

@@ -27,7 +27,7 @@ from loopsim.engine import (
     run_many,
     step,
 )
-from loopsim.regressors import predict
+from loopsim.regressors import TrainedModel, predict
 
 
 def cfg(**kw):
@@ -625,16 +625,14 @@ def _fresh_interpreter(script: str) -> str:
                           text=True, check=True).stdout
 
 
-@pytest.mark.parametrize("model, call, loaded", [
-    ("ridge_exact", "stddev_surface(data, [0, 1], [1.0], config, workers=2)",
-     ["scipy.linalg.lapack"]),
-    ("ridge_exact", "run(data, config, kappa_list=[0.1], workers=2)",
-     ["scipy.linalg.lapack", "scipy.special"]),
-    ("sgd", "stddev_surface(data, [0, 1], [1.0], config, workers=2)", []),
+@pytest.mark.parametrize("model, call", [
+    ("ridge_exact", "stddev_surface(data, [0, 1], [1.0], config, workers=2)"),
+    ("ridge_exact", "run(data, config, kappa_list=[0.1], workers=2)"),
+    ("sgd", "stddev_surface(data, [0, 1], [1.0], config, workers=2)"),
 ], ids=["ridge-surface", "ridge-run-all-stats", "sgd-surface"])
-def test_the_pool_forks_with_exactly_the_scipy_modules_its_lanes_call(model, call, loaded):
+def test_the_pool_forks_with_exactly_the_scipy_modules_its_lanes_call(model, call):
     """In a fresh interpreter, the scipy modules loaded when run_many builds
-    its pool, which the forked workers then share."""
+    its pool, and after the run: the lanes call numpy only, so none."""
     script = (
         "import sys\n"
         "from concurrent import futures\n"
@@ -643,40 +641,17 @@ def test_the_pool_forks_with_exactly_the_scipy_modules_its_lanes_call(model, cal
         "seen = []\n"
         "class RecordingPool(futures.ProcessPoolExecutor):\n"
         "    def __init__(self, *args, **kwargs):\n"
-        "        seen.append([m for m in ('scipy.linalg.lapack', 'scipy.special')"
-        " if m in sys.modules])\n"
+        "        seen.append([m for m in sys.modules if m.startswith('scipy')])\n"
         "        super().__init__(*args, **kwargs)\n"
         "futures.ProcessPoolExecutor = RecordingPool\n"
         "data = generate_linear(200, 4, noise_variance=1.0, seed=25)\n"
         "config = LoopConfig(setting='sampling_update', total_steps=20, usage_p=0.5,\n"
         f"                    adherence_s=1.0, seed=3, repeats=2, model={model!r})\n"
         f"{call}\n"
+        "seen.append([m for m in sys.modules if m.startswith('scipy')])\n"
         "print(seen)\n"
     )
-    assert _fresh_interpreter(script) == f"{[loaded]}\n"
-
-
-def test_without_scipy_an_sgd_run_completes_and_a_ridge_run_fails_by_repeat_and_step():
-    script = (
-        "import dataclasses, sys\n"
-        "sys.modules['scipy'] = None\n"
-        "from loopsim import LoopConfig, generate_linear, run\n"
-        "data = generate_linear(200, 4, noise_variance=1.0, seed=25)\n"
-        "config = LoopConfig(setting='sampling_update', total_steps=20, usage_p=0.5,\n"
-        "                    adherence_s=1.0, seed=3, repeats=2, model='sgd')\n"
-        "print(run(data, config, stats=()).repeats_aggregated)\n"
-        "for kappas, workers in ((None, 1), ([0.1], 1), ([0.1], 2)):\n"
-        "    try:\n"
-        "        run(data, dataclasses.replace(config, model='ridge_exact'), kappa_list=kappas,\n"
-        "            stats=(), workers=workers)\n"
-        "    except ImportError as exc:\n"
-        "        print(exc)\n"
-    )
-    out = _fresh_interpreter(script).splitlines()
-    assert out[0] == "2"
-    assert len(out) == 4
-    assert all(line.startswith("repeat 0, step 0: No module named 'scipy.linalg'")
-               for line in out[1:])
+    assert _fresh_interpreter(script) == "[[], []]\n"
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -913,3 +888,108 @@ def test_zero_usage_leaves_the_targets_bitwise_unchanged(seed, sliding, adherenc
         step(state, c)
     assert state.targets.tobytes() == LOOP_DATA.targets[state.item_indices].tobytes()
     assert state.replaced_count == 0
+
+
+# -- target scaling --------------------------------------------------------
+
+SCALE_DATA = generate_linear(200, 4, noise_variance=1.0, seed=29)
+
+# (model, setting, usage_p, adherence_s, repeats, workers): both models and
+# settings, a flattening, a collapsing and two holding configs, one lane and
+# two lockstep lanes split over two processes
+SCALE_CASES = [
+    ("ridge_exact", SETTING_SAMPLING, 1.0, 3.0, 1, 1),
+    ("ridge_exact", SETTING_SLIDING, 0.5, 1.0, 2, 2),
+    ("sgd", SETTING_SAMPLING, 1.0, 0.0, 2, 2),
+    ("sgd", SETTING_SLIDING, 0.5, 1.0, 1, 1),
+]
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two float arrays hold the same bits, every NaN alike."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes())
+
+
+@pytest.mark.parametrize("model, setting, usage, adherence, repeats, workers", SCALE_CASES,
+                         ids=["ridge-sampling-flatten", "ridge-sliding-hold-lanes",
+                              "sgd-sampling-collapse-lanes", "sgd-sliding-hold"])
+def test_scaling_the_targets_by_a_power_of_two_scales_every_probe_exactly(
+        model, setting, usage, adherence, repeats, workers):
+    """Every stage of the loop is equivariant in the targets: scaling them
+    by c = 2**k scales stddev by c, psi by 1/c, moment_k by c**k and the
+    kappas by c, and leaves every mass, spike count and normality p-value
+    as it was, bit for bit. moment_l1 is left out: its 300-term ladder
+    overflows at large scales by design."""
+    config = LoopConfig(setting=setting, total_steps=100, usage_p=usage, adherence_s=adherence,
+                        model=model, sgd_iterations=10, retrain_period=25, probe_every=20,
+                        seed=5, repeats=repeats)
+    stats = ("moments", "normality_p")
+    base = run(SCALE_DATA, config, stats=stats, workers=workers)
+    for k in (-60, -7, 20, 60):
+        c = 2.0**k
+        scaled_data = dataclasses.replace(SCALE_DATA, targets=SCALE_DATA.targets * c)
+        scaled = run(scaled_data, config, stats=stats, workers=workers)
+        assert np.array(scaled.kappa_list).tobytes() == (np.array(base.kappa_list) * c).tobytes()
+        want = {"stddev": base.per_repeat["stddev"] * c, "psi": base.per_repeat["psi"] / c,
+                "normality_p": base.per_repeat["normality_p"]}
+        want.update({f"moment_{order}": base.per_repeat[f"moment_{order}"] * c**order
+                     for order in engine.MOMENT_ORDERS})
+        for old, new in zip(base.kappa_list, scaled.kappa_list):
+            want[engine.MASS_COLUMN.format(new)] = base.per_repeat[engine.MASS_COLUMN.format(old)]
+        assert sorted(want) == sorted(scaled.per_repeat)
+        for name, values in want.items():
+            assert _same_bits(scaled.per_repeat[name], values), (k, name)
+        assert np.array_equal(scaled.spike_counts, base.spike_counts)
+
+
+# -- the numpy ridge against scipy's ------------------------------------------
+
+def _cho_ridge(features, targets, regularization=0.0):
+    """fit_ridge through scipy's cho_factor and cho_solve."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    X, y = np.asarray(features, dtype=float), np.asarray(targets, dtype=float)
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc, yc = X - x_mean, y - y_mean
+    w = cho_solve(cho_factor(Xc.T @ Xc + regularization * np.eye(X.shape[1])), Xc.T @ yc)
+    return TrainedModel(w, float(y_mean - x_mean @ w), 1)
+
+
+@pytest.mark.parametrize("dataset", ["linear_medium", "friedman_small"])
+@pytest.mark.parametrize("usage, adherence", [(1.0, 0.0), (1.0, 3.0), (0.1, 0.9)],
+                         ids=["collapse", "flatten", "hold"])
+def test_the_numpy_ridge_stays_on_the_trajectory_of_scipys(dataset, usage, adherence, request,
+                                                           monkeypatch):
+    """The regimes of acceptance criteria 1-3, run with the numpy solve and
+    again with scipy's: the random stream does not depend on the values, so
+    the two runs differ only by rounding. Every discrete output is equal,
+    and every statistic is within a relative 1e-7. The largest move
+    measured here was 1.1e-11, and 1.2e-9 on the benchmark workloads.
+    moment_k is taken relative to max(|m_k|, stddev**k), because odd raw
+    moments cancel toward 0."""
+    data = request.getfixturevalue(dataset)
+    config = LoopConfig(setting=SETTING_SAMPLING, total_steps=600, usage_p=usage,
+                        adherence_s=adherence, seed=7, repeats=2, probe_every=50)
+    ours = run(data, config)
+    monkeypatch.setattr(engine, "fit_ridge", _cho_ridge)
+    theirs = run(data, config)
+    assert ours.kappa_list == pytest.approx(theirs.kappa_list, rel=1e-7)
+    assert np.array_equal(ours.spike_counts, theirs.spike_counts)
+    for field in ("item_index", "used_prediction"):
+        assert np.array_equal(ours.step_traces[field], theirs.step_traces[field])
+    masses = [engine.MASS_COLUMN.format(kappa) for kappa in ours.kappa_list]
+    masses_ref = [engine.MASS_COLUMN.format(kappa) for kappa in theirs.kappa_list]
+    assert len(ours.per_repeat) == len(theirs.per_repeat)
+    for name, values in ours.per_repeat.items():
+        ref = theirs.per_repeat[masses_ref[masses.index(name)] if name in masses else name]
+        if name in masses or name == "moment_l1_truncated":
+            assert _same_bits(values, ref), name
+            continue
+        scale = np.maximum(np.abs(values), np.abs(ref))
+        if name.startswith("moment_") and name[7:].isdigit():
+            scale = np.maximum(scale, theirs.per_repeat["stddev"] ** int(name[7:]))
+        assert np.array_equal(np.isnan(values), np.isnan(ref)), name
+        finite = ~np.isnan(values)
+        assert np.all(np.abs(values - ref)[finite] <= 1e-7 * scale[finite]), name

@@ -803,21 +803,32 @@ def test_cli_run_refuses_a_psi_out_of_range_before_any_output(tmp_path, capsys, 
     assert not out.exists()
 
 
+def _run_fresh(script: str) -> list:
+    """The standard output lines of script, run by a new interpreter on this loopsim."""
+    src = str(Path(loopsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout.splitlines()
+
+
 def test_each_command_loads_only_the_scipy_modules_it_calls(tmp_path):
     """A fresh interpreter that imports loopsim.cli loads no scipy module,
-    nor do gen-data, an SGD sweep at workers 1 and 2, and a report over it.
-    A ridge autonomy run then loads scipy.linalg for its fits and
-    scipy.special for its p-value; analytic_demo loads scipy.integrate."""
+    nor do gen-data, an SGD sweep at workers 1 and 2, a report over it, and
+    a ridge autonomy run at workers 1 and 2, its Breusch-Pagan p-value
+    included. Only analytic_demo loads scipy, for the quadrature of
+    scipy.integrate."""
     data = ["--kind", "linear", "--rows", "80", "--cols", "3", "--data-seed", "5"]
     sweep = ["run", "--experiment", "sweep", *data, "--setting", "sliding", "--model", "sgd",
              "--steps", "25", "--repeats", "1", "--usage-grid", "0,1", "--adherence-grid", "0"]
+    autonomy = ["run", "--experiment", "autonomy", *data, "--setting", "sampling", "--steps", "40",
+                "--probe-every", "4", "--repeats", "2"]
     commands = [
         ["gen-data", "--rows", "40", "--cols", "3", "--out-dir", str(tmp_path / "data")],
         [*sweep, "--workers", "1", "--out-dir", str(tmp_path / "w1")],
         [*sweep, "--workers", "2", "--out-dir", str(tmp_path / "w2")],
         ["report", str(tmp_path / "w1" / "manifest.json"), "--out-dir", str(tmp_path / "rep")],
-        ["run", "--experiment", "autonomy", *data, "--setting", "sampling", "--steps", "40",
-         "--probe-every", "4", "--repeats", "1", "--out-dir", str(tmp_path / "autonomy")],
+        [*autonomy, "--workers", "1", "--out-dir", str(tmp_path / "autonomy")],
+        [*autonomy, "--workers", "2", "--out-dir", str(tmp_path / "autonomy2")],
         ["run", "--experiment", "analytic_demo", "--out-dir", str(tmp_path / "analytic")],
     ]
     script = (
@@ -829,16 +840,49 @@ def test_each_command_loads_only_the_scipy_modules_it_calls(tmp_path):
         "        code = cli.main(argv)\n"
         "    print(code, [m for m in watched if m in sys.modules])\n"
     )
-    src = str(Path(loopsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout.splitlines()
-    ridge = ["scipy", "scipy.linalg", "scipy.special"]
-    assert out == ["[]"] + ["0 []"] * 4 + [f"0 {ridge}", f"0 {[*ridge, 'scipy.integrate']}"]
-    summary = json.loads((tmp_path / "autonomy" / "summary.json").read_text(encoding="utf-8"))
-    assert 0 <= summary["fits"]["full"]["bp_pvalue"] <= 1
+    quadrature = ["scipy", "scipy.linalg", "scipy.special", "scipy.integrate"]
+    assert _run_fresh(script) == ["[]"] + ["0 []"] * 6 + [f"0 {quadrature}"]
+    for name in ("autonomy", "autonomy2"):
+        summary = json.loads((tmp_path / name / "summary.json").read_text(encoding="utf-8"))
+        assert 0 <= summary["fits"]["full"]["bp_pvalue"] <= 1
     assert (tmp_path / "analytic" / "analytic.csv").read_text().startswith(
         "t,stat_name,value\n1,psi,2\n")
+
+
+def test_without_scipy_every_experiment_but_analytic_demo_completes(tmp_path):
+    """With scipy blocked, every trace experiment runs to its end at workers
+    1 and 2 for ridge and SGD, and so does a ridge sweep. analytic_demo
+    fails, and its message names the module it could not load."""
+    data = ["--kind", "linear", "--rows", "120", "--cols", "3", "--data-seed", "5"]
+    commands = [
+        ["run", "--experiment", experiment, *data, "--setting", "sampling", "--model", model,
+         "--steps", "40", "--probe-every", "4", "--repeats", "2", "--workers", workers,
+         "--out-dir", str(tmp_path / f"{experiment}-{model}-{workers}")]
+        for experiment in ("density_trace", "normality", "autonomy", "moments")
+        for model in ("ridge_exact", "sgd") for workers in ("1", "2")
+    ]
+    commands.append(["run", "--experiment", "sweep", *data, "--setting", "sliding",
+                     "--model", "ridge_exact", "--steps", "25", "--repeats", "2",
+                     "--usage-grid", "0,1", "--adherence-grid", "0,1", "--workers", "2",
+                     "--out-dir", str(tmp_path / "sweep")])
+    commands.append(["run", "--experiment", "analytic_demo", "--out-dir", str(tmp_path / "a")])
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from loopsim import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "        code = cli.main(argv)\n"
+        "    print(code, err.getvalue().strip())\n"
+    )
+    out = _run_fresh(script)
+    assert out[:-1] == ["0 "] * (len(commands) - 1)
+    assert out[-1].startswith("1 ") and "No module named 'scipy.integrate'" in out[-1]
+    summary = json.loads((tmp_path / "autonomy-sgd-2" / "summary.json").read_text(encoding="utf-8"))
+    assert 0 <= summary["fits"]["full"]["bp_pvalue"] <= 1
+    surface = (tmp_path / "sweep" / "surface.csv").read_text(encoding="utf-8").splitlines()
+    assert len(surface) == 5 and all(row.endswith(",ok") for row in surface[1:])
 
 
 def test_cli_from_manifest_refuses_another_tool_version(trace_run, tmp_path, capsys):

@@ -158,34 +158,78 @@ def test_ridge_names_non_finite_targets_without_a_warning(bad):
             fit_ridge(X, y, 0.0)
 
 
+def _normal_equations(X, y, penalty):
+    """The centered normal equations that fit_ridge solves, and their means."""
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc, yc = X - x_mean, y - y_mean
+    return Xc.T @ Xc + penalty * np.eye(X.shape[1]), Xc.T @ yc, x_mean, y_mean
+
+
+# Backward error of a solution w of G w = r, in units of eps:
+# max|G w - r| / (max|G| max|w| + max|r|). On 40 000 random designs in the
+# domain of the property test below, numpy's Cholesky solve reached 1.43 and
+# scipy's cho_factor/cho_solve 1.66.
+RIDGE_BACKWARD_EPS = 3.0
+
+
+def _backward_error(gram, rhs, w) -> float:
+    residual = np.max(np.abs(gram @ w - rhs))
+    if residual == 0.0:
+        return 0.0
+    scale = np.max(np.abs(gram)) * np.max(np.abs(w)) + np.max(np.abs(rhs))
+    return residual / scale / np.finfo(float).eps
+
+
+def _assert_solves(model, gram, rhs, x_mean, y_mean):
+    """model's weights solve the normal equations to rounding, and its
+    intercept comes from the means."""
+    assert _backward_error(gram, rhs, model.weights) <= RIDGE_BACKWARD_EPS
+    assert (np.float64(model.intercept).tobytes()
+            == np.float64(y_mean - x_mean @ model.weights).tobytes())
+
+
+def _assert_near_cho_solve(w, gram, rhs):
+    """w is scipy's cho_factor/cho_solve solution up to the condition
+    number times rounding: at most 1.99 * cond * eps on the same designs."""
+    w_ref = cho_solve(cho_factor(gram), rhs)
+    bound = 4.0 * np.linalg.cond(gram) * np.finfo(float).eps * np.max(np.abs(w_ref))
+    assert np.max(np.abs(w - w_ref)) <= bound
+
+
 def test_ridge_keeps_the_bits_of_finite_targets():
     # the finiteness check reads y and changes none of the arithmetic after it
     rng = np.random.default_rng(8)
     X = rng.normal(size=(50, 4))
     y = rng.normal(size=50) * 1e300
-    x_mean, y_mean = X.mean(axis=0), y.mean()
-    Xc, yc = X - x_mean, y - y_mean
-    w = cho_solve(cho_factor(Xc.T @ Xc + 0.1 * np.eye(4)), Xc.T @ yc)
+    gram, rhs, x_mean, y_mean = _normal_equations(X, y, 0.1)
+    lower = np.linalg.cholesky(gram)
+    w = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
     m = fit_ridge(X, y, 0.1)
     assert m.weights.tobytes() == w.tobytes()
-    assert np.float64(m.intercept).tobytes() == np.float64(y_mean - x_mean @ w).tobytes()
+    _assert_solves(m, gram, rhs, x_mean, y_mean)
+    _assert_near_cho_solve(m.weights, gram, rhs)
 
 
-def _ridge_reference(X, y, penalty):
-    """fit_ridge's weights and intercept through scipy's cho_factor/cho_solve."""
-    x_mean, y_mean = X.mean(axis=0), y.mean()
-    Xc, yc = X - x_mean, y - y_mean
-    factor = cho_factor(Xc.T @ Xc + penalty * np.eye(X.shape[1]))
-    w = cho_solve(factor, Xc.T @ yc)
-    return w, y_mean - x_mean @ w, np.diagonal(factor[0]), np.diagonal(Xc.T @ Xc)
+def _rank_deficient(X, threshold) -> bool:
+    """Whether the centered design's smallest squared singular value is
+    below the pivot rule's threshold: the SVD sees a rank deficiency,
+    whatever rounding a Cholesky factor of the Gram matrix makes of it."""
+    Xc = X - X.mean(axis=0)
+    singular = np.linalg.svd(Xc, compute_uv=False)
+    return X.shape[0] <= X.shape[1] or singular[-1] ** 2 < threshold
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 60), cols=st.integers(1, 6),
        scale=st.integers(-60, 60), penalty=st.sampled_from([0.0, 0.1]),
        degenerate=st.sampled_from([None, "constant", "copy"]))
-def test_ridge_equals_cho_factor_and_cho_solve_bit_for_bit(seed, rows, cols, scale, penalty,
-                                                           degenerate):
+def test_ridge_agrees_with_cho_factor_and_cho_solve(seed, rows, cols, scale, penalty,
+                                                    degenerate):
+    """fit_ridge refuses what scipy's cho_factor refuses, plus ridge_exact's
+    pivot rule, and solves the rest to rounding. On a rank-deficient design
+    at penalty 0 the two factors round the last pivot differently, so
+    either may accept what the other refuses (16 of 204 264 such designs
+    measured); the refusal is then judged by the SVD."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(rows, cols))
     y = (X @ rng.normal(size=cols) + rng.normal(size=rows)) * 2.0**scale
@@ -193,22 +237,24 @@ def test_ridge_equals_cho_factor_and_cho_solve_bit_for_bit(seed, rows, cols, sca
         X[:, -1] = 3.0
     elif degenerate == "copy":
         X[:, -1] = X[:, 0]
+    gram, rhs, x_mean, y_mean = _normal_equations(X, y, penalty)
+    threshold = cols * 2.0**-52 * np.diagonal(gram).max()
     try:
-        w, b, pivots, gram_diagonal = _ridge_reference(X, y, penalty)
-    except (np.linalg.LinAlgError, ValueError):
-        with pytest.raises(ValueError):
-            fit_ridge(X, y, penalty)
-        return
+        factor = cho_factor(gram)
+        scipy_accepts = penalty > 0 or np.diagonal(factor[0]).min() ** 2 >= threshold
+    except np.linalg.LinAlgError:
+        scipy_accepts = False
+    borderline = penalty == 0.0 and _rank_deficient(X, threshold)
     try:
         m = fit_ridge(X, y, penalty)
     except ValueError as exc:
-        # the one refusal cho_factor does not make: ridge_exact's pivot rule
-        assert penalty == 0.0
-        assert pivots.min() ** 2 < cols * 2.0**-52 * gram_diagonal.max()
-        assert str(exc).startswith("normal matrix is singular at regularization 0")
+        assert not scipy_accepts or borderline
+        assert str(exc).startswith(f"normal matrix is singular at regularization {penalty:g}")
         return
-    assert m.weights.tobytes() == w.tobytes()
-    assert np.float64(m.intercept).tobytes() == np.float64(b).tobytes()
+    assert scipy_accepts or borderline
+    _assert_solves(m, gram, rhs, x_mean, y_mean)
+    if not borderline:
+        _assert_near_cho_solve(m.weights, gram, rhs)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -249,7 +295,8 @@ def _sgd_reference(X, y, max_iterations, seed):
             b -= eta * err
             t += 1
         epochs += 1
-        if max(np.max(np.abs(w - w_prev)), abs(b - b_prev)) < 1e-12:
+        size = np.max(np.abs(np.append(w, b)))
+        if np.isfinite(size) and np.max(np.abs(np.append(w - w_prev, b - b_prev))) <= 1e-12 * size:
             break
     return w, float(b), epochs
 
