@@ -14,6 +14,9 @@ import numpy as np
 
 # fewest sample points a point-density estimate accepts
 MIN_DENSITY_POINTS = 20
+# most moment orders one block of the power-sum ladder computes at once;
+# its buffer holds this many extended-precision copies of the sample
+POWER_SUM_BLOCK = 32
 
 
 class InsufficientSampleError(ValueError):
@@ -95,7 +98,11 @@ class EmpiricalDistribution:
     """Immutable sorted sample with distribution queries.
 
     Construction sorts a copy of the input; all queries are read-only and
-    safe to call concurrently.
+    safe to call concurrently. The moment queries share one lazily built
+    ladder of power sums: the first one that needs order k extends it in
+    blocks of at most POWER_SUM_BLOCK orders. Construction builds none of
+    it. The ladder is replaced, never mutated, so a concurrent query at
+    worst builds a block twice.
     """
 
     def __init__(self, sample):
@@ -106,6 +113,9 @@ class EmpiricalDistribution:
             raise ValueError("sample must be finite")
         self._sample = arr
         self._sample.flags.writeable = False
+        # (power sums for orders 0..K, the sequential product x**K); the
+        # sums are a tuple of extended-precision scalars
+        self._ladder = None
 
     @property
     def sample(self) -> np.ndarray:
@@ -154,13 +164,43 @@ class EmpiricalDistribution:
         u = (x - self._sample) / h
         return float(np.exp(-0.5 * u * u).sum() / (self.n * h * math.sqrt(2.0 * math.pi)))
 
+    def _power_sums(self, order: int, limit: int) -> tuple:
+        """Power sums for orders 0..K with K >= order: entry k is the mean of
+        the sequential extended-precision product x*x*...*x (k factors).
+
+        Each missing block holds at most POWER_SUM_BLOCK orders and none
+        past limit: the sample fills a (b, N) buffer whose first row is
+        seeded with the previous product, np.multiply.accumulate turns its
+        rows into the next b powers, and each row's pairwise sum over N
+        gives that order's sum, as the one-order loop would.
+        """
+        sums, last = self._ladder or ((np.longdouble(1.0),), None)
+        if len(sums) > order:
+            return sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(sums) <= order:
+                buf = np.empty((min(POWER_SUM_BLOCK, limit + 1 - len(sums)), self.n),
+                               dtype=np.longdouble)
+                buf[0] = self._sample
+                buf[1:] = buf[0]  # one cast per block: casting each row costs 10x a copy
+                if last is not None:
+                    np.multiply(last, buf[0], out=buf[0])
+                np.multiply.accumulate(buf, axis=0, out=buf)
+                sums += tuple(np.add.reduce(buf, axis=1) / self.n)
+                last = buf[-1].copy()
+        self._ladder = (sums, last)
+        return sums
+
     def raw_moment(self, k: int) -> float:
-        """k-th raw moment (1/N) * sum(sample**k), in extended precision."""
+        """k-th raw moment (1/N) * sum(sample**k), read off the power sums.
+
+        The powers are the sequential extended-precision products of the
+        ladder that moment_l1_sum also reads, so asking for several orders,
+        or for the ladder as well, computes each power once.
+        """
         if k < 1:
             raise ValueError("moment order k must be >= 1")
-        with np.errstate(over="ignore"):
-            pw = self._sample.astype(np.longdouble) ** k
-            value = pw.mean()
+        value = self._power_sums(k, max(k, POWER_SUM_BLOCK))[k]
         if not np.isfinite(value):
             raise SaturationError(f"moment of order {k} saturated extended precision")
         return float(value)
@@ -168,10 +208,11 @@ class EmpiricalDistribution:
     def moment_l1_sum(self, n_terms: int) -> MomentSum:
         """Sum of |raw moments| for orders 1..n_terms with saturation guard.
 
-        Powers accumulate in extended precision. If adding order k would
-        take the sum past the float64 range (or a term saturates), the
-        partial sum up to order k - 1 is returned with truncated_at=k, so
-        the value is always finite.
+        The terms are the power sums that raw_moment reads, extended block
+        by block as this walk reaches them, never past order n_terms. If
+        adding order k would take the sum past the float64 range (or a
+        term saturates), the partial sum up to order k - 1 is returned
+        with truncated_at=k, so the value is always finite.
 
         When max|x| < 1, every later term is at most max|x|**(k+1) / (1 -
         max|x|); the ladder stops once twice that bound no longer changes
@@ -180,18 +221,17 @@ class EmpiricalDistribution:
         """
         if n_terms < 1:
             raise ValueError("n_terms must be >= 1")
-        base = self._sample.astype(np.longdouble)
-        powers = np.ones_like(base)
-        amax = max(-base[0], base[-1])  # the sample is sorted
+        amax = np.longdouble(max(-self._sample[0], self._sample[-1]))  # the sample is sorted
         # tail = 2 * amax**(k+1) / (1 - amax) after term k; the factor 2
         # covers the rounding of the computed powers
         tail = 2 * amax / (1 - amax) if amax < 1 else np.longdouble(np.inf)
         total = np.longdouble(0.0)
+        sums = ()
         with np.errstate(over="ignore"):
             for k in range(1, n_terms + 1):
-                np.multiply(powers, base, out=powers)
-                # the pairwise sum and division of powers.mean(), without its overhead
-                new = total + abs(np.add.reduce(powers) / self.n)
+                if k >= len(sums):
+                    sums = self._power_sums(k, n_terms)
+                new = total + abs(sums[k])
                 if not new < _FLOAT_OVERFLOW:  # also catches a NaN or inf term
                     return MomentSum(float(total), k)
                 total = new

@@ -33,6 +33,7 @@ from loopsim.analytic import (
     weak_limit_probe,
 )
 from loopsim.data import (
+    FLOAT_FORMAT,
     RNG_ALGORITHM,
     Dataset,
     format_float,
@@ -414,16 +415,15 @@ def write_trace_csv(path: Path, report) -> None:
 
 
 def write_steps_csv(path: Path, report) -> None:
+    """One row per loop step of every repeat, formatted as write_csv would
+    with format_float, but by one %-format per row: the largest CSV a run
+    writes."""
     header = ["repeat", "step", *STEP_RECORD.names[1:]]
-
-    def rows():
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
         for repeat, record in enumerate(report.step_traces):
-            for step_t, item, y_true, y_pred, z, used, resid in record.tolist():
-                yield (str(repeat), str(step_t), str(item), format_float(y_true),
-                       format_float(y_pred), format_float(z), "1" if used else "0",
-                       format_float(resid))
-
-    write_csv(path, header, rows())
+            row = f"{repeat},%d,%d,{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%d,{FLOAT_FORMAT}\n"
+            out.writelines(row % values for values in record.tolist())
 
 
 # ---------------------------------------------------------------------------

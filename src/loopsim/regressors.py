@@ -75,7 +75,8 @@ def fit_sgd_lanes(features, targets, max_iterations: int, seeds) -> list[Trained
     lane makes n updates per epoch; a lane that stops early draws no
     further permutations. Each lane's dot product goes through a stacked
     matmul, which numpy evaluates with the same BLAS dot as ``xi @ w``
-    (einsum would not give the same bits).
+    (einsum would not give the same bits). Every NaN parameter is
+    returned as the one canonical NaN, whatever its sign bit was.
     """
     X = np.asarray(features, dtype=float)
     Y = np.asarray(targets, dtype=float)
@@ -121,6 +122,11 @@ def fit_sgd_lanes(features, targets, max_iterations: int, seeds) -> list[Trained
         live = live[~(np.isfinite(size) & (move <= 1e-12 * size))]
         if live.size == 0:
             break
+    # the sign bit of a NaN parameter depends on which NaN operand the
+    # arithmetic propagates, and the stacked matmul does not always pick the
+    # one a lone lane's does; one canonical NaN keeps the lanes equal
+    W[np.isnan(W)] = np.nan
+    B[np.isnan(B)] = np.nan
     return [
         TrainedModel(W[lane].copy(), float(B[lane]), int(epochs[lane]))
         for lane in range(lanes)

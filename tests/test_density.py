@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopsim.density import (
@@ -205,6 +205,118 @@ def test_moment_l1_sum_matches_the_plain_loop(sample):
         # the plain loop let the sum overflow float64; the ladder truncates
         assert math.isfinite(got.value)
         assert got.truncated_at is not None
+
+
+def _sequential_mean(sample, k):
+    """(1/N) * the pairwise sum of the sequential extended-precision
+    product x*x*...*x (k factors)."""
+    base = np.asarray(sample, dtype=np.longdouble)
+    powers = base.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k - 1):
+            powers = powers * base
+        return np.add.reduce(powers) / base.size
+
+
+def _moment_l1_sum_one_order(sample, n_terms):
+    """moment_l1_sum with one ufunc round trip per order, as it was before
+    the moment queries shared their power sums."""
+    base = sample.astype(np.longdouble)
+    powers = np.ones_like(base)
+    amax = max(-base[0], base[-1])
+    tail = 2 * amax / (1 - amax) if amax < 1 else np.longdouble(np.inf)
+    total = np.longdouble(0.0)
+    limit = np.longdouble(np.finfo(np.float64).max) + np.longdouble(2.0**970)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_terms + 1):
+            np.multiply(powers, base, out=powers)
+            new = total + abs(np.add.reduce(powers) / base.size)
+            if not new < limit:
+                return float(total), k
+            total = new
+            tail *= amax
+            if total + tail == total:
+                break
+    return float(total), None
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@given(_ladder_samples, st.integers(1, 70))
+@settings(max_examples=150, deadline=None)
+# samples where one powl per value rounds the moment to another float64
+@example(sample=[1.614, -1.426, -1.381], k=5)
+@example(sample=[0.276, 0.161, -0.486], k=6)
+def test_raw_moment_is_the_mean_of_the_sequential_product(sample, k):
+    d = EmpiricalDistribution(sample)
+    want = _sequential_mean(d.sample, k)
+    if np.isfinite(want):
+        assert _bits(d.raw_moment(k)) == _bits(want)
+    else:
+        with pytest.raises(SaturationError):
+            d.raw_moment(k)
+
+
+# the sequential product moves a moment by at most this many float64 ulps of
+# the absolute moment mean(|x|**k) away from one powl per value; measured
+# worst 0.98 ulp over 3000 Gaussian and t(3) samples at scales 1e-60..1e60,
+# orders 1..40
+POWL_BOUND_ULPS = 2
+
+
+@given(st.lists(_unit, min_size=1, max_size=60), st.integers(-60, 60), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_raw_moment_stays_within_two_ulps_of_powl(sample, exponent, k):
+    d = EmpiricalDistribution([x * 10.0**exponent for x in sample])
+    base = d.sample.astype(np.longdouble)
+    with np.errstate(over="ignore", under="ignore"):
+        powl = float((base**k).mean())
+        scale = float((np.abs(base) ** k).mean())
+    assume(math.isfinite(scale) and scale > 0)
+    assert abs(d.raw_moment(k) - powl) <= POWL_BOUND_ULPS * 2.0**-52 * scale
+
+
+_moment_samples = {
+    "gaussian_600": np.random.default_rng(4).normal(size=600) * 3.0,
+    "t3_2000": np.random.default_rng(5).standard_t(3, 2000) * 1e-6,
+    "inside_unit": np.random.default_rng(6).uniform(-0.9, 0.9, 50),
+    "straddling": np.array([-1.5, -0.2, 0.1, 0.7, 1.25]),
+    "tiny": np.random.default_rng(7).normal(size=40) * 1e-9,
+}
+
+
+@pytest.mark.parametrize("name", _moment_samples)
+def test_the_moments_do_not_depend_on_which_query_ran_first(name):
+    sample = _moment_samples[name]
+    moments_first = EmpiricalDistribution(sample)
+    raw = [moments_first.raw_moment(k) for k in range(1, 7)]
+    l1 = moments_first.moment_l1_sum(300)
+    ladder_first = EmpiricalDistribution(sample)
+    assert ladder_first.moment_l1_sum(300) == l1 == _moment_l1_sum_one_order(
+        ladder_first.sample, 300)
+    assert [_bits(ladder_first.raw_moment(k)) for k in range(1, 7)] == list(map(_bits, raw))
+
+
+@pytest.mark.parametrize("n_terms", [1, 31, 32, 33, 300])
+@pytest.mark.parametrize("name", _moment_samples)
+def test_the_ladder_crosses_block_edges(name, n_terms):
+    sample = _moment_samples[name]
+    want = _moment_l1_sum_one_order(np.sort(sample), n_terms)
+    fresh = EmpiricalDistribution(sample)
+    assert fresh.moment_l1_sum(n_terms) == want
+    primed = EmpiricalDistribution(sample)
+    primed.raw_moment(6)  # one block of 32 orders already built
+    assert primed.moment_l1_sum(n_terms) == want
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 5])
+@pytest.mark.parametrize("name", _moment_samples)
+def test_raw_moment_extends_a_ladder_that_stopped_before_its_order(name, n_terms):
+    d = EmpiricalDistribution(_moment_samples[name])
+    d.moment_l1_sum(n_terms)
+    assert _bits(d.raw_moment(6)) == _bits(_sequential_mean(d.sample, 6))
 
 
 def test_sample_is_sorted_and_immutable():

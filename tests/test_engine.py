@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from loopsim import engine
 from loopsim.data import generate_linear
+from loopsim.density import EmpiricalDistribution
 from loopsim.engine import (
     SETTING_SAMPLING,
     SETTING_SLIDING,
@@ -771,6 +772,25 @@ def test_run_many_takes_the_statistics_in_any_order_and_rejects_unknown_names(st
         assert list(a.per_repeat) == list(b.per_repeat)
     with pytest.raises(ValueError, match="kurtosis"):
         go(stats=("moments", "kurtosis"))
+
+
+@pytest.mark.parametrize("stats", [(), ("normality_p",)], ids=["core", "normality_p"])
+def test_a_probe_that_reads_no_moment_builds_no_power_sums(monkeypatch, stats):
+    """The autonomy and normality probes pay nothing for the moment ladder:
+    with its builder patched to raise, their runs still complete."""
+    data = generate_linear(120, 4, noise_variance=1.0, seed=16)
+    config = cfg(total_steps=60, adherence_s=1.5, repeats=2, probe_every=20)
+    want = run(data, config, kappa_list=[0.1], stats=stats)
+
+    def refuse(self, order, limit):
+        raise AssertionError("power sums built")
+
+    monkeypatch.setattr(EmpiricalDistribution, "_power_sums", refuse)
+    got = run(data, config, kappa_list=[0.1], stats=stats)
+    for name, matrix in want.per_repeat.items():
+        assert np.array_equal(got.per_repeat[name], matrix, equal_nan=True), name
+    with pytest.raises(AssertionError, match="power sums built"):
+        run(data, config, kappa_list=[0.1], stats=("moments",))
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
