@@ -100,7 +100,7 @@ class EmpiricalDistribution:
     Construction sorts a copy of the input; all queries are read-only and
     safe to call concurrently. The moment queries share one lazily built
     ladder of power sums: the first one that needs order k extends it in
-    blocks of at most POWER_SUM_BLOCK orders. Construction builds none of
+    blocks of POWER_SUM_BLOCK orders. Construction builds none of
     it. The ladder is replaced, never mutated, so a concurrent query at
     worst builds a block twice.
     """
@@ -164,23 +164,23 @@ class EmpiricalDistribution:
         u = (x - self._sample) / h
         return float(np.exp(-0.5 * u * u).sum() / (self.n * h * math.sqrt(2.0 * math.pi)))
 
-    def _power_sums(self, order: int, limit: int) -> tuple:
+    def _power_sums(self, order: int) -> tuple:
         """Power sums for orders 0..K with K >= order: entry k is the mean of
         the sequential extended-precision product x*x*...*x (k factors).
 
-        Each missing block holds at most POWER_SUM_BLOCK orders and none
-        past limit: the sample fills a (b, N) buffer whose first row is
-        seeded with the previous product, np.multiply.accumulate turns its
-        rows into the next b powers, and each row's pairwise sum over N
-        gives that order's sum, as the one-order loop would.
+        Each missing block holds POWER_SUM_BLOCK orders: the sample fills a
+        (POWER_SUM_BLOCK, N) buffer whose first row is seeded with the
+        previous product, np.multiply.accumulate turns its rows into the
+        next powers, and each row's pairwise sum over N gives that order's
+        sum, as the one-order loop would. A block may run past the orders
+        a caller reads; that changes none of the sums.
         """
         sums, last = self._ladder or ((np.longdouble(1.0),), None)
         if len(sums) > order:
             return sums
         with np.errstate(over="ignore", invalid="ignore"):
             while len(sums) <= order:
-                buf = np.empty((min(POWER_SUM_BLOCK, limit + 1 - len(sums)), self.n),
-                               dtype=np.longdouble)
+                buf = np.empty((POWER_SUM_BLOCK, self.n), dtype=np.longdouble)
                 buf[0] = self._sample
                 buf[1:] = buf[0]  # one cast per block: casting each row costs 10x a copy
                 if last is not None:
@@ -200,7 +200,7 @@ class EmpiricalDistribution:
         """
         if k < 1:
             raise ValueError("moment order k must be >= 1")
-        value = self._power_sums(k, max(k, POWER_SUM_BLOCK))[k]
+        value = self._power_sums(k)[k]
         if not np.isfinite(value):
             raise SaturationError(f"moment of order {k} saturated extended precision")
         return float(value)
@@ -209,10 +209,10 @@ class EmpiricalDistribution:
         """Sum of |raw moments| for orders 1..n_terms with saturation guard.
 
         The terms are the power sums that raw_moment reads, extended block
-        by block as this walk reaches them, never past order n_terms. If
-        adding order k would take the sum past the float64 range (or a
-        term saturates), the partial sum up to order k - 1 is returned
-        with truncated_at=k, so the value is always finite.
+        by block as this walk reaches them. If adding order k would take
+        the sum past the float64 range (or a term saturates), the partial
+        sum up to order k - 1 is returned with truncated_at=k, so the
+        value is always finite.
 
         When max|x| < 1, every later term is at most max|x|**(k+1) / (1 -
         max|x|); the ladder stops once twice that bound no longer changes
@@ -230,7 +230,7 @@ class EmpiricalDistribution:
         with np.errstate(over="ignore"):
             for k in range(1, n_terms + 1):
                 if k >= len(sums):
-                    sums = self._power_sums(k, n_terms)
+                    sums = self._power_sums(k)
                 new = total + abs(sums[k])
                 if not new < _FLOAT_OVERFLOW:  # also catches a NaN or inf term
                     return MomentSum(float(total), k)

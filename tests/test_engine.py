@@ -782,7 +782,7 @@ def test_a_probe_that_reads_no_moment_builds_no_power_sums(monkeypatch, stats):
     config = cfg(total_steps=60, adherence_s=1.5, repeats=2, probe_every=20)
     want = run(data, config, kappa_list=[0.1], stats=stats)
 
-    def refuse(self, order, limit):
+    def refuse(self, order):
         raise AssertionError("power sums built")
 
     monkeypatch.setattr(EmpiricalDistribution, "_power_sums", refuse)

@@ -2,15 +2,14 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/diff_runs.py <dir_a> <dir_b> [--skip NAME ...]
+    python3 tools/diff_runs.py <dir_a> <dir_b>
 
 For every file in either directory, prints how many cells differ and the
 largest relative move |a - b| / max(|a|, |b|) among the numeric ones. A
 trace.csv is reported per stat_name, another CSV per column, a JSON file
-per top-level key, any other file per line. config.txt and manifest.json
-name the output directory and the wall clock, so they are skipped unless
---skip is given. Exits 0 when no cell differs, 1 otherwise. Standard
-library only.
+per top-level key. config.txt and manifest.json name the output directory
+and the wall clock, so they are skipped. Exits 0 when no cell differs, 1
+otherwise. Standard library only.
 """
 
 import argparse
@@ -21,11 +20,11 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-DEFAULT_SKIP = ("config.txt", "manifest.json")
+SKIP = ("config.txt", "manifest.json")
 
 
 def _cells(path: Path) -> dict:
-    """{(group, key): text} for every cell of one file."""
+    """{(group, key): text} for every cell of one CSV or JSON file."""
     if path.suffix == ".csv":
         with open(path, newline="", encoding="utf-8") as f:
             rows = list(csv.reader(f))
@@ -33,23 +32,21 @@ def _cells(path: Path) -> dict:
         if header[:3] == ["step", "repeat", "stat_name"]:
             return {(r[2], (r[0], r[1])): r[3] for r in body}
         return {(col, i): cell for i, r in enumerate(body) for col, cell in zip(header, r)}
-    if path.suffix == ".json":
-        out = {}
+    out = {}
 
-        def walk(group, key, value):
-            if isinstance(value, dict):
-                for k, v in value.items():
-                    walk(group, f"{key}/{k}", v)
-            elif isinstance(value, list):
-                for i, v in enumerate(value):
-                    walk(group, f"{key}/{i}", v)
-            else:
-                out[(group, key)] = json.dumps(value)
+    def walk(group, key, value):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(group, f"{key}/{k}", v)
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                walk(group, f"{key}/{i}", v)
+        else:
+            out[(group, key)] = json.dumps(value)
 
-        for name, value in json.loads(path.read_text(encoding="utf-8")).items():
-            walk(name, "", value)
-        return out
-    return {("lines", i): line for i, line in enumerate(path.read_text(encoding="utf-8").splitlines())}
+    for name, value in json.loads(path.read_text(encoding="utf-8")).items():
+        walk(name, "", value)
+    return out
 
 
 def _relative_move(a: str, b: str) -> float:
@@ -81,13 +78,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dir_a", type=Path)
     parser.add_argument("dir_b", type=Path)
-    parser.add_argument("--skip", action="append", help="file name to leave out (repeatable)")
     args = parser.parse_args(argv)
-    skip = set(DEFAULT_SKIP if args.skip is None else args.skip)
     names = sorted({p.name for d in (args.dir_a, args.dir_b) for p in d.iterdir() if p.is_file()})
     differ = False
     for name in names:
-        if name in skip:
+        if name in SKIP:
             continue
         a, b = args.dir_a / name, args.dir_b / name
         if not (a.is_file() and b.is_file()):
