@@ -3,11 +3,11 @@
 When the loop contracts, the k-th raw moment of the residuals scales as
 psi_t^(-k): higher moments collapse faster, and the l1 sum over orders
 crashes by hundreds of decades over a few hundred steps. The simulated
-trace below is paired with the closed-form prediction evaluated by
-quadrature on the analytic map.
+trace below is paired with the closed-form prediction, checked by the
+trapezoid rule on the analytic map.
 """
 
-from scipy.integrate import quad
+import numpy as np
 
 from loopsim import (
     AnalyticMap,
@@ -38,10 +38,11 @@ amap = AnalyticMap(base=gaussian_density(0.0, 1.0), psi=power_sequence(1.1),
 print("\nanalytic check, psi_t = 1.1^t on a standard normal base:")
 print(f"{'t':>4s} {'k':>3s} {'quadrature':>14s} {'scaling law':>14s}")
 for t in (5, 25):
-    lo, hi = transformed_support(amap, t)
+    x = np.linspace(*transformed_support(amap, t), 20001)
     for k in (2, 4, 6):
-        value, _ = quad(lambda x: x**k * apply_map(amap, t, x), lo, hi,
-                        epsabs=1e-14, epsrel=1e-12, limit=300, points=(0.0,))
+        y = x**k * apply_map(amap, t, x)
+        # the trapezoid rule, written out: np.trapezoid needs numpy 2
+        value = float(((y[1:] + y[:-1]) * np.diff(x)).sum() / 2)
         nu_k_0 = {2: 1.0, 4: 3.0, 6: 15.0}[k]
         predicted = moment_scaling_predict(amap, k, t, nu_k_0)
         print(f"{t:4d} {k:3d} {value:14.6e} {predicted:14.6e}")

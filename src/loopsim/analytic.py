@@ -7,9 +7,11 @@ the multiplicativity check that separates autonomous from non-autonomous
 sequences, exact moment scaling, and a quadrature lower bound for the
 operator norm of a one-step density transformation.
 
-All quadrature is one-dimensional, adaptive, absolute tolerance 1e-8.
+All quadrature is one-dimensional: 20-point Gauss-Legendre on 1, 2, 4, ... panels per piece
+between breakpoints, until every piece's last two estimates agree within 1e-8 or 1e-10 relative.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,12 +19,13 @@ import numpy as np
 
 QUAD_EPSABS = 1e-8
 QUAD_EPSREL = 1e-10
-QUAD_LIMIT = 200
+QUAD_MAX_PANELS = 2**12
 GAUSSIAN_SUPPORT_SDS = 12.0
+_gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(20))  # on first use
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature failed to reach the requested tolerance."""
 
 
 def _check_interval(name: str, interval: tuple) -> None:
@@ -156,20 +159,20 @@ def transformed_support(amap: AnalyticMap, t: int) -> tuple:
 
 
 def _quad(fn, lo, hi, points) -> float:
-    # imported here: only quadrature needs scipy.integrate, and the run path never does
-    from scipy.integrate import quad
-
     if lo >= hi:
         return 0.0
-    pts = sorted(p for p in points if lo < p < hi) or None
-    result = quad(
-        fn, lo, hi, points=pts, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-        limit=QUAD_LIMIT, full_output=1,
-    )
-    value, abserr = result[0], result[1]
-    if len(result) >= 4 or abserr > max(QUAD_EPSABS, QUAD_EPSREL * abs(value)):
-        raise QuadratureError(f"quadrature did not converge: achieved tolerance {abserr:.3g}")
-    return float(value)
+    nodes, weights = _gauss_legendre()
+    vfn = np.vectorize(fn, otypes=[float])  # evaluators take one point at a time
+    edges = np.array([lo, *sorted(p for p in points if lo < p < hi), hi])
+    estimate, change, panels = np.nan, np.inf, 1
+    while not np.all(change <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(estimate))):
+        if panels > QUAD_MAX_PANELS:
+            raise QuadratureError(f"quadrature did not converge within {QUAD_MAX_PANELS} panels")
+        half = np.diff(edges)[:, None, None] / (2 * panels)
+        x = edges[:-1, None, None] + half * (np.arange(1, 2 * panels, 2)[:, None] + nodes)
+        refined = (vfn(x) @ weights).sum(axis=1) * half[:, 0, 0]
+        estimate, change, panels = refined, np.abs(refined - estimate), 2 * panels
+    return float(estimate.sum())
 
 
 def _require_dimension_one(amap: AnalyticMap, op: str) -> None:
@@ -189,7 +192,7 @@ def weak_limit_probe(amap: AnalyticMap, phi: TestFunction, t_list) -> list[float
 
     As psi_t grows the values approach phi(0); as psi_t vanishes so do the
     values. Integration runs over the intersection of the two supports,
-    split at the interior endpoints so the adaptive rule sees the moving
+    split at the interior endpoints so the panels see the moving
     concentration region.
     """
     _require_dimension_one(amap, "weak_limit_probe")
@@ -198,9 +201,6 @@ def weak_limit_probe(amap: AnalyticMap, phi: TestFunction, t_list) -> list[float
         f_lo, f_hi = transformed_support(amap, t)
         p_lo, p_hi = phi.support
         lo, hi = max(f_lo, p_lo), min(f_hi, p_hi)
-        if lo >= hi:
-            values.append(0.0)
-            continue
 
         def integrand(x, t=t):
             return apply_map(amap, t, x) * float(phi.evaluator(x))
@@ -284,5 +284,4 @@ def operator_norm_lower_bound(transform, interval, breakpoints=None) -> float:
     indicator = uniform_density(lo, hi)
     image = transform(indicator.evaluator)
     pts = list(breakpoints) if breakpoints is not None else [lo, hi, 0.0]
-    value = _quad(lambda x: float(image(x)), lo, hi, points=pts)
-    return float(value)
+    return _quad(lambda x: float(image(x)), lo, hi, points=pts)

@@ -94,6 +94,16 @@ def spread(values) -> float:
     return sd
 
 
+def _sorted_quantile(values: np.ndarray, q: float) -> float:
+    """np.quantile(values, q) of an already sorted array, bit for bit, without its sort."""
+    pos = (values.size - 1) * q
+    i = math.floor(pos)
+    a, b = float(values[i]), float(values[min(i + 1, values.size - 1)])
+    t = pos - i
+    # numpy's _lerp: interpolate from the nearer neighbour
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 class EmpiricalDistribution:
     """Immutable sorted sample with distribution queries.
 
@@ -143,7 +153,7 @@ class EmpiricalDistribution:
         to zero on a non-constant sample.
         """
         sd = spread(self._sample)
-        q75, q25 = np.percentile(self._sample, [75, 25])
+        q75, q25 = _sorted_quantile(self._sample, 0.75), _sorted_quantile(self._sample, 0.25)
         iqr = q75 - q25
         scale = min(sd, iqr / 1.34) if iqr > 0 else sd
         return 0.9 * scale * self.n ** (-0.2)

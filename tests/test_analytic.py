@@ -217,6 +217,29 @@ def test_quadrature_error_surfaces():
         envelope_norm(amap, 1)
 
 
+def _scipy_quad(fn, lo, hi, points) -> float:
+    """The reference: scipy's adaptive quad, split at the points inside [lo, hi]."""
+    inner = sorted(p for p in points if lo < p < hi) or None
+    return integrate.quad(fn, lo, hi, points=inner, epsabs=1e-14, epsrel=1e-12, limit=300)[0]
+
+
+@pytest.mark.parametrize("psi", [power_sequence(2.0), power_sequence(0.5), linear_sequence()],
+                         ids=["power:2", "power:0.5", "linear"])
+def test_the_gauss_legendre_rule_agrees_with_scipy_quad(psi):
+    """On analytic_demo's defaults (variance 25, the tent of half-width 1),
+    weak_limit_probe and envelope_norm equal scipy's quad within 1e-13."""
+    amap = AnalyticMap(base=gaussian_density(0.0, 25.0), psi=psi, dimension=1)
+    phi = triangle_test_function()
+    t_list = (1, 2, 5, 10, 20, 50, 100)
+    for t, weak in zip(t_list, weak_limit_probe(amap, phi, t_list)):
+        f_lo, f_hi = transformed_support(amap, t)
+        want = _scipy_quad(lambda x: apply_map(amap, t, x) * phi.evaluator(x),
+                           max(f_lo, -1.0), min(f_hi, 1.0), (0.0, f_lo, f_hi))
+        assert abs(weak - want) <= 1e-13, (t, weak, want)
+        want = _scipy_quad(lambda x: apply_map(amap, t, x), f_lo, f_hi, (0.0,))
+        assert abs(envelope_norm(amap, t) - want) <= 1e-13, (t, want)
+
+
 def test_power_sequence_values():
     seq = power_sequence(2.0)
     assert seq.at(1) == 2.0

@@ -12,6 +12,7 @@ from loopsim.density import (
     EmpiricalDistribution,
     InsufficientSampleError,
     SaturationError,
+    _sorted_quantile,
     dkw_epsilon,
     spread,
 )
@@ -69,6 +70,21 @@ def test_silverman_bandwidth_hand_computation():
     q75, q25 = np.percentile(sample, [75, 25])
     want = 0.9 * min(sd, (q75 - q25) / 1.34) * 32 ** (-0.2)
     assert d.bandwidth() == pytest.approx(want, rel=1e-12)
+
+
+def test_bandwidth_keeps_the_bits_of_np_percentile():
+    """The quartiles are read off the sorted sample by numpy's linear rule,
+    its _lerp included, so they and the Silverman bandwidth keep
+    np.percentile's bits, down to n = 1."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 2001, 7):
+        for scale in (1e-30, 1.0, 1e30):
+            d = EmpiricalDistribution(rng.standard_t(3, n) * scale)
+            q75, q25 = np.percentile(d.sample, [75, 25])
+            got = np.array([_sorted_quantile(d.sample, 0.75), _sorted_quantile(d.sample, 0.25)])
+            assert got.tobytes() == np.array([q75, q25]).tobytes(), (n, scale)
+            iqr, sd = q75 - q25, spread(d.sample)
+            assert d.bandwidth() == 0.9 * (min(sd, iqr / 1.34) if iqr > 0 else sd) * n ** (-0.2)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 500), st.integers(-150, 150))

@@ -914,12 +914,14 @@ def test_zero_usage_leaves_the_targets_bitwise_unchanged(seed, sliding, adherenc
 
 SCALE_DATA = generate_linear(200, 4, noise_variance=1.0, seed=29)
 
-# (model, setting, usage_p, adherence_s, repeats, workers): both models and
-# settings, a flattening, a collapsing and two holding configs, one lane and
+# (model, setting, usage_p, adherence_s, repeats, workers): every model and
+# both settings, flattening, collapsing and holding configs, one lane and
 # two lockstep lanes split over two processes
 SCALE_CASES = [
     ("ridge_exact", SETTING_SAMPLING, 1.0, 3.0, 1, 1),
     ("ridge_exact", SETTING_SLIDING, 0.5, 1.0, 2, 2),
+    ("ridge_regularized", SETTING_SAMPLING, 1.0, 0.0, 2, 2),
+    ("ridge_regularized", SETTING_SLIDING, 1.0, 3.0, 1, 1),
     ("sgd", SETTING_SAMPLING, 1.0, 0.0, 2, 2),
     ("sgd", SETTING_SLIDING, 0.5, 1.0, 1, 1),
 ]
@@ -934,6 +936,7 @@ def _same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("model, setting, usage, adherence, repeats, workers", SCALE_CASES,
                          ids=["ridge-sampling-flatten", "ridge-sliding-hold-lanes",
+                              "ridge-reg-sampling-collapse-lanes", "ridge-reg-sliding-flatten",
                               "sgd-sampling-collapse-lanes", "sgd-sliding-hold"])
 def test_scaling_the_targets_by_a_power_of_two_scales_every_probe_exactly(
         model, setting, usage, adherence, repeats, workers):
@@ -962,6 +965,24 @@ def test_scaling_the_targets_by_a_power_of_two_scales_every_probe_exactly(
         for name, values in want.items():
             assert _same_bits(scaled.per_repeat[name], values), (k, name)
         assert np.array_equal(scaled.spike_counts, base.spike_counts)
+
+
+@pytest.mark.parametrize("setting", [SETTING_SAMPLING, SETTING_SLIDING])
+@pytest.mark.parametrize("model", ["ridge_exact", "ridge_regularized", "sgd"])
+def test_scaling_the_targets_by_a_power_of_two_scales_the_surface_exactly(model, setting):
+    """stddev_surface keeps the loop's equivariance: on a 2 x 2 grid split
+    over two processes, scaling the targets by c = 2**k scales every cell's
+    mean and std by c, bit for bit, and leaves the errors as they were."""
+    config = cfg(setting=setting, model=model, sgd_iterations=10, retrain_period=25, seed=5)
+    grids = ((0.5, 1.0), (0.0, 3.0))
+    base = engine.stddev_surface(SCALE_DATA, *grids, config, workers=2)
+    for k in (-60, 30, 60):
+        c = 2.0**k
+        scaled_data = dataclasses.replace(SCALE_DATA, targets=SCALE_DATA.targets * c)
+        scaled = engine.stddev_surface(scaled_data, *grids, config, workers=2)
+        assert _same_bits(scaled.mean, base.mean * c), k
+        assert _same_bits(scaled.std, base.std * c), k
+        assert scaled.errors == base.errors == {}
 
 
 # -- the numpy ridge against scipy's ------------------------------------------

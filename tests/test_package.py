@@ -29,14 +29,18 @@ def test_all_has_no_duplicates():
     assert len(loopsim.__all__) == len(set(loopsim.__all__))
 
 
-def test_pyproject_reads_the_package_version():
+def _project() -> dict:
+    """The [project] table of pyproject.toml, as setuptools reads it."""
     from setuptools.config.pyprojecttoml import read_configuration
 
     with warnings.catch_warnings():
         # older setuptools flags [tool.setuptools] tables as beta
         warnings.simplefilter("ignore")
-        project = read_configuration(PYPROJECT)["project"]
-    assert project["version"] == loopsim.__version__
+        return read_configuration(PYPROJECT)["project"]
+
+
+def test_pyproject_reads_the_package_version():
+    assert _project()["version"] == loopsim.__version__
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -123,6 +127,24 @@ def test_each_module_imports_only_the_modules_listed_before_it():
         late += [f"{module}.py:{line}: {name}" for line, name in _loopsim_imports(tree)
                  if name not in LAYERS[:k]]
     assert late == []
+
+
+def test_the_package_imports_no_scipy_and_depends_on_numpy_alone():
+    """scipy is a reference for the tests only: no module under src/loopsim
+    imports it, and [project].dependencies names numpy alone."""
+    found = []
+    for path in sorted((ROOT / "src" / "loopsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.partition(".")[0] == "scipy"]
+    assert found == []
+    assert [re.match(r"[\w.-]+", dep).group() for dep in _project()["dependencies"]] == ["numpy"]
 
 
 def _documented_commands() -> set[tuple[str, str]]:
