@@ -142,10 +142,17 @@ def triangle_test_function(half_width: float = 1.0, center: float = 0.0) -> Test
     return TestFunction(evaluator, (center - half_width, center + half_width))
 
 
+def _step_density(amap: AnalyticMap, t: int):
+    """The step-t density (an array, 0-d for a scalar x) and its support hint, from one psi_t."""
+    psi_t = amap.psi.at(t)
+    height, f0 = psi_t**amap.dimension, amap.base.evaluator
+    lo, hi = amap.base.support_hint
+    return (lambda x: height * f0(psi_t * np.asarray(x, dtype=float))), (lo / psi_t, hi / psi_t)
+
+
 def apply_map(amap: AnalyticMap, t: int, x):
     """Evaluate the transformed density at step t: psi_t^n * f0(psi_t * x)."""
-    psi_t = amap.psi.at(t)
-    value = psi_t**amap.dimension * amap.base.evaluator(psi_t * np.asarray(x, dtype=float))
+    value = _step_density(amap, t)[0](x)
     if np.ndim(x) == 0:
         return float(value)
     return value
@@ -153,9 +160,7 @@ def apply_map(amap: AnalyticMap, t: int, x):
 
 def transformed_support(amap: AnalyticMap, t: int) -> tuple:
     """Support hint of the step-t density (base support scaled by 1/psi_t)."""
-    psi_t = amap.psi.at(t)
-    lo, hi = amap.base.support_hint
-    return (lo / psi_t, hi / psi_t)
+    return _step_density(amap, t)[1]
 
 
 def _quad(fn, lo, hi, points) -> float:
@@ -183,8 +188,8 @@ def _require_dimension_one(amap: AnalyticMap, op: str) -> None:
 def envelope_norm(amap: AnalyticMap, t: int) -> float:
     """Quadrature norm of the step-t density; should be 1 for any psi_t."""
     _require_dimension_one(amap, "envelope_norm")
-    lo, hi = transformed_support(amap, t)
-    return _quad(lambda x: apply_map(amap, t, x), lo, hi, points=(0.0,))
+    density, (lo, hi) = _step_density(amap, t)
+    return _quad(density, lo, hi, points=(0.0,))
 
 
 def weak_limit_probe(amap: AnalyticMap, phi: TestFunction, t_list) -> list[float]:
@@ -198,12 +203,12 @@ def weak_limit_probe(amap: AnalyticMap, phi: TestFunction, t_list) -> list[float
     _require_dimension_one(amap, "weak_limit_probe")
     values = []
     for t in t_list:
-        f_lo, f_hi = transformed_support(amap, t)
+        density, (f_lo, f_hi) = _step_density(amap, t)
         p_lo, p_hi = phi.support
         lo, hi = max(f_lo, p_lo), min(f_hi, p_hi)
 
-        def integrand(x, t=t):
-            return apply_map(amap, t, x) * float(phi.evaluator(x))
+        def integrand(x, density=density):
+            return density(x) * float(phi.evaluator(x))
 
         values.append(_quad(integrand, lo, hi, points=(0.0, f_lo, f_hi)))
     return values

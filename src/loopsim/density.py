@@ -2,9 +2,10 @@
 
 Everything measurable about one residual sample lives here: the empirical
 CDF with its distribution-free DKW confidence band, a point-density
-estimate (Gaussian KDE with Silverman bandwidth), interval masses, and
-raw moments with saturation-aware high-order sums. Which of them a loop
-probe records, and under which trace column, is engine's.
+estimate (Gaussian KDE with Silverman bandwidth), interval masses, raw
+moments in extended precision, and the saturation-aware float64 sum of the
+high-order moments. Which of them a loop probe records, and under which
+trace column, is engine's.
 """
 
 import math
@@ -14,9 +15,9 @@ import numpy as np
 
 # fewest sample points a point-density estimate accepts
 MIN_DENSITY_POINTS = 20
-# most moment orders one block of the power-sum ladder computes at once;
-# its buffer holds this many extended-precision copies of the sample
-POWER_SUM_BLOCK = 32
+# most orders one block of the moment_l1 ladder computes at once; its
+# buffer holds this many float64 copies of the sample
+LADDER_BLOCK = 32
 
 
 class InsufficientSampleError(ValueError):
@@ -47,10 +48,6 @@ class DegenerateSpike:
 
 
 SPIKE = DegenerateSpike()
-
-# float() of an extended-precision value is finite exactly below this: the
-# midpoint between the float64 maximum and 2**1024 rounds up, to infinity
-_FLOAT_OVERFLOW = np.longdouble(np.finfo(np.float64).max) + np.longdouble(2.0**970)
 
 
 class MomentSum(NamedTuple):
@@ -108,11 +105,12 @@ class EmpiricalDistribution:
     """Immutable sorted sample with distribution queries.
 
     Construction sorts a copy of the input; all queries are read-only and
-    safe to call concurrently. The moment queries share one lazily built
-    ladder of power sums: the first one that needs order k extends it in
-    blocks of POWER_SUM_BLOCK orders. Construction builds none of
-    it. The ladder is replaced, never mutated, so a concurrent query at
-    worst builds a block twice.
+    safe to call concurrently. raw_moment reads a lazily built ladder of
+    extended-precision power sums, which the first query for a higher
+    order extends up to that order; moment_l1_sum runs its own float64
+    ladder and builds none of it, and neither does construction. The
+    ladder is replaced, never mutated, so a concurrent query at worst
+    builds an order twice.
     """
 
     def __init__(self, sample):
@@ -178,35 +176,32 @@ class EmpiricalDistribution:
         """Power sums for orders 0..K with K >= order: entry k is the mean of
         the sequential extended-precision product x*x*...*x (k factors).
 
-        Each missing block holds POWER_SUM_BLOCK orders: the sample fills a
-        (POWER_SUM_BLOCK, N) buffer whose first row is seeded with the
+        The missing orders are built in one block: the sample fills a
+        (missing orders, N) buffer whose first row is seeded with the
         previous product, np.multiply.accumulate turns its rows into the
         next powers, and each row's pairwise sum over N gives that order's
-        sum, as the one-order loop would. A block may run past the orders
-        a caller reads; that changes none of the sums.
+        sum, as the one-order loop would.
         """
         sums, last = self._ladder or ((np.longdouble(1.0),), None)
         if len(sums) > order:
             return sums
         with np.errstate(over="ignore", invalid="ignore"):
-            while len(sums) <= order:
-                buf = np.empty((POWER_SUM_BLOCK, self.n), dtype=np.longdouble)
-                buf[0] = self._sample
-                buf[1:] = buf[0]  # one cast per block: casting each row costs 10x a copy
-                if last is not None:
-                    np.multiply(last, buf[0], out=buf[0])
-                np.multiply.accumulate(buf, axis=0, out=buf)
-                sums += tuple(np.add.reduce(buf, axis=1) / self.n)
-                last = buf[-1].copy()
-        self._ladder = (sums, last)
+            buf = np.empty((order + 1 - len(sums), self.n), dtype=np.longdouble)
+            buf[0] = self._sample
+            buf[1:] = buf[0]  # one cast per block: casting each row costs 10x a copy
+            if last is not None:
+                np.multiply(last, buf[0], out=buf[0])
+            np.multiply.accumulate(buf, axis=0, out=buf)
+            sums += tuple(np.add.reduce(buf, axis=1) / self.n)
+        self._ladder = (sums, buf[-1].copy())
         return sums
 
     def raw_moment(self, k: int) -> float:
         """k-th raw moment (1/N) * sum(sample**k), read off the power sums.
 
-        The powers are the sequential extended-precision products of the
-        ladder that moment_l1_sum also reads, so asking for several orders,
-        or for the ladder as well, computes each power once.
+        The powers are the sequential extended-precision products x*x*...*x,
+        kept between calls, so asking for several orders computes each power
+        once; asking for the highest first builds them in one block.
         """
         if k < 1:
             raise ValueError("moment order k must be >= 1")
@@ -218,34 +213,64 @@ class EmpiricalDistribution:
     def moment_l1_sum(self, n_terms: int) -> MomentSum:
         """Sum of |raw moments| for orders 1..n_terms with saturation guard.
 
-        The terms are the power sums that raw_moment reads, extended block
-        by block as this walk reaches them. If adding order k would take
-        the sum past the float64 range (or a term saturates), the partial
-        sum up to order k - 1 is returned with truncated_at=k, so the
-        value is always finite.
+        The ladder runs in float64, on the sample scaled by a power of two:
+        with max|x| = f * 2**e (0.5 <= f < 1), u = x * 2**-e is exact (but
+        where it falls below 2**-1022, too small to move any term) and
+        |u| < 1, so no power of u overflows. Order k's term is
+        |ldexp(mean(u**k), e*k)|, where u**k is the sequential product
+        u*u*...*u and the mean is a pairwise sum over N divided by N. The
+        terms are added in order. If term k is not finite, or adding it
+        takes the sum past the float64 range, the partial sum up to order
+        k - 1 is returned with truncated_at=k, so the value is always
+        finite.
 
         When max|x| < 1, every later term is at most max|x|**(k+1) / (1 -
-        max|x|); the ladder stops once twice that bound no longer changes
-        the extended-precision sum. Rounding is monotone, so no later term
-        could have changed it either, and the result equals the full sum.
+        max|x|); the walk stops once twice that bound no longer changes
+        the sum. Rounding is monotone, so no later term could have changed
+        it either, and the result equals the full sum.
+
+        The powers are computed LADDER_BLOCK orders at a time, one row per
+        order; each block's means, running sums and stop rule take
+        whole-array calls, so Python loops once per block. None of this
+        reads the extended-precision power sums of raw_moment.
         """
         if n_terms < 1:
             raise ValueError("n_terms must be >= 1")
-        amax = np.longdouble(max(-self._sample[0], self._sample[-1]))  # the sample is sorted
-        # tail = 2 * amax**(k+1) / (1 - amax) after term k; the factor 2
-        # covers the rounding of the computed powers
-        tail = 2 * amax / (1 - amax) if amax < 1 else np.longdouble(np.inf)
-        total = np.longdouble(0.0)
-        sums = ()
+        amax = max(-self._sample[0], self._sample[-1])  # the sample is sorted
+        exponent = math.frexp(amax)[1]
+        u = np.ldexp(self._sample, -exponent)
+        shifts = exponent * np.arange(1, n_terms + 1)
+        if amax < 1:
+            # tails[k-1] = 2 * amax**(k+1) / (1 - amax), the bound after term
+            # k, as the sequential products tail *= amax; the factor 2
+            # covers the rounding of the computed powers
+            tails = np.full(n_terms, amax)
+            tails[0] *= 2 * amax / (1 - amax)
+            np.multiply.accumulate(tails, out=tails)
+        total = 0.0
+        buf = np.empty((min(LADDER_BLOCK, n_terms), self.n))
         with np.errstate(over="ignore"):
-            for k in range(1, n_terms + 1):
-                if k >= len(sums):
-                    sums = self._power_sums(k)
-                new = total + abs(sums[k])
-                if not new < _FLOAT_OVERFLOW:  # also catches a NaN or inf term
-                    return MomentSum(float(total), k)
-                total = new
-                tail *= amax
-                if total + tail == total:
-                    break
-        return MomentSum(float(total), None)
+            for first in range(0, n_terms, LADDER_BLOCK):
+                rows = min(LADDER_BLOCK, n_terms - first)
+                if first == 0:
+                    buf[0] = u
+                else:  # the previous block was full, so buf[-1] holds its last power
+                    np.multiply(buf[-1], u, out=buf[0])
+                for r in range(1, rows):
+                    np.multiply(buf[r - 1], u, out=buf[r])
+                sums = np.add.reduce(buf[:rows], axis=1) / self.n
+                terms = np.abs(np.ldexp(sums, shifts[first:first + rows]))
+                terms[0] += total
+                totals = np.add.accumulate(terms, out=terms)  # the running sums, in order
+                if amax < 1:
+                    # every term is at most about amax**k < 1: no sum leaves the range
+                    done = totals + tails[first:first + rows] == totals
+                    j = int(done.argmax())
+                    if done[j]:
+                        return MomentSum(float(totals[j]), None)
+                elif not math.isfinite(totals[-1]):
+                    # the sums only grow: the first one past the range is order first + 1 + j
+                    j = int(np.isfinite(totals).argmin())
+                    return MomentSum(float(totals[j - 1]) if j else total, first + 1 + j)
+                total = float(totals[-1])
+        return MomentSum(total, None)

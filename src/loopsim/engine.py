@@ -450,7 +450,7 @@ class DiagnosticsReport:
 
 
 def _moments(dist, resid, i, res):
-    for order in MOMENT_ORDERS:
+    for order in reversed(MOMENT_ORDERS):  # the highest first builds the power sums in one block
         try:
             res[f"moment_{order}"][i] = dist.raw_moment(order)
         except SaturationError:

@@ -11,6 +11,7 @@ from loopsim.density import (
     SPIKE,
     EmpiricalDistribution,
     InsufficientSampleError,
+    MomentSum,
     SaturationError,
     _sorted_quantile,
     dkw_epsilon,
@@ -182,18 +183,57 @@ def test_moment_l1_sum_truncates_when_only_the_sum_overflows():
 
 
 def _moment_l1_sum_reference(sample, n_terms=300):
-    """The plain 300-term loop that EmpiricalDistribution.moment_l1_sum replaces."""
+    """The plain long-double loop that the float64 ladder replaced: the
+    accuracy reference. Returns the running sums of |raw moment k| and of
+    the absolute moments mean(|x|**k), for k = 1..n_terms. The second sum
+    is the scale of the rounding error in a sum of signed powers."""
     base = sample.astype(np.longdouble)
-    powers = np.ones_like(base)
-    total = np.longdouble(0.0)
+    powers, absolute = np.ones_like(base), np.ones_like(base)
+    total = scale = np.longdouble(0.0)
+    sums, scales = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_terms + 1):
+        for _ in range(n_terms):
             powers = powers * base
-            term = np.abs(powers.mean())
-            if not np.isfinite(term) or not np.isfinite(total + term):
-                return float(total), k
-            total = total + term
-    return float(total), None
+            absolute = absolute * np.abs(base)
+            total = total + np.abs(powers.mean())
+            scale = scale + absolute.mean()
+            sums.append(total)
+            scales.append(scale)
+    return sums, scales
+
+
+# the long-double sums pass the float64 range exactly from here: the midpoint
+# between the float64 maximum and 2**1024 rounds up, to infinity
+_FLOAT64_LIMIT = np.longdouble(np.finfo(np.float64).max) + np.longdouble(2.0**970)
+# The float64 ladder stays within this multiple of the absolute-moment sum of
+# the long-double loop, over the orders both summed. The first-order rounding
+# bound (2 * n_terms + log2 N + 1) * 2**-53 is 6.8e-14 at 300 terms and
+# N = 2000. The measured worst was 2.9e-15, over 14 000 Gaussian, t(3),
+# uniform and constant samples with N from 1 to 2000 and scales from 1e-323
+# to 1e300; where the truncation orders differed, the reference's sum lay
+# within 5e-20 of its scale from the range's end. A bound relative to the
+# sum itself does not hold: on a symmetric sample whose even moments leave
+# the float64 range, the sum is an odd moment's cancellation error in
+# either precision.
+L1_BOUND = 1e-13
+
+
+def _assert_close_to_the_long_double_loop(got, sample, n_terms):
+    sums, scales = _moment_l1_sum_reference(sample, n_terms)
+    # the long-double loop truncates where its running sum leaves the float64 range
+    want_truncated = next((k for k, s in enumerate(sums, 1) if not s < _FLOAT64_LIMIT), None)
+    if got.truncated_at != want_truncated:
+        # only where the reference's sum lies within the bound of that range
+        k = min(t for t in (got.truncated_at, want_truncated) if t is not None)
+        assert abs(sums[k - 1] - _FLOAT64_LIMIT) <= L1_BOUND * scales[k - 1]
+        return
+    summed = (want_truncated or n_terms + 1) - 1
+    if summed == 0:
+        assert got.value == 0.0
+        return
+    # plus one subnormal spacing per order, where the terms round to it
+    tolerance = L1_BOUND * scales[summed - 1] + summed * 2.0**-1074
+    assert abs(np.longdouble(got.value) - sums[summed - 1]) <= tolerance
 
 
 _unit = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
@@ -211,16 +251,25 @@ _ladder_samples = st.one_of(
 
 @given(_ladder_samples)
 @settings(max_examples=150, deadline=None)
+# x**3 leaves the float64 range, but the mean of the cubes does not
+@example(sample=[1e103] + [0.0] * 99)
 def test_moment_l1_sum_matches_the_plain_loop(sample):
     d = EmpiricalDistribution(sample)
     got = d.moment_l1_sum(300)
-    want, want_truncated = _moment_l1_sum_reference(d.sample)
-    if math.isfinite(want):
-        assert (got.value, got.truncated_at) == (want, want_truncated)
-    else:
-        # the plain loop let the sum overflow float64; the ladder truncates
-        assert math.isfinite(got.value)
-        assert got.truncated_at is not None
+    assert got == _moment_l1_sum_one_order(d.sample, 300)
+    assert math.isfinite(got.value)
+    _assert_close_to_the_long_double_loop(got, d.sample, 300)
+
+
+@given(_ladder_samples)
+@settings(max_examples=150, deadline=None)
+def test_moment_l1_is_at_least_the_sum_of_the_first_six_raw_moments(sample):
+    """The benchmark's moment_l1_bound check, across the two precisions."""
+    d = EmpiricalDistribution(sample)
+    got = d.moment_l1_sum(300)
+    assume(got.truncated_at is None or got.truncated_at > 6)
+    head = math.fsum(abs(d.raw_moment(k)) for k in range(1, 7))
+    assert got.value >= (1.0 - 1e-12) * head
 
 
 def _sequential_mean(sample, k):
@@ -235,25 +284,26 @@ def _sequential_mean(sample, k):
 
 
 def _moment_l1_sum_one_order(sample, n_terms):
-    """moment_l1_sum with one ufunc round trip per order, as it was before
-    the moment queries shared their power sums."""
-    base = sample.astype(np.longdouble)
-    powers = np.ones_like(base)
-    amax = max(-base[0], base[-1])
-    tail = 2 * amax / (1 - amax) if amax < 1 else np.longdouble(np.inf)
-    total = np.longdouble(0.0)
-    limit = np.longdouble(np.finfo(np.float64).max) + np.longdouble(2.0**970)
-    with np.errstate(over="ignore", invalid="ignore"):
+    """moment_l1_sum as its docstring states it, one order at a time: the
+    sample scaled by 2**-e, the sequential float64 product, the pairwise
+    mean shifted back by e*k, and the sum in order with the same stop rules."""
+    amax = max(-sample[0], sample[-1])
+    exponent = math.frexp(amax)[1]
+    u = np.ldexp(sample, -exponent)
+    powers = np.ones_like(u)
+    tail = 2 * amax / (1 - amax) if amax < 1 else math.inf
+    total = 0.0
+    with np.errstate(over="ignore"):
         for k in range(1, n_terms + 1):
-            np.multiply(powers, base, out=powers)
-            new = total + abs(np.add.reduce(powers) / base.size)
-            if not new < limit:
-                return float(total), k
+            powers = powers * u
+            new = total + abs(float(np.ldexp(np.add.reduce(powers) / u.size, exponent * k)))
+            if not math.isfinite(new):
+                return MomentSum(total, k)
             total = new
             tail *= amax
             if total + tail == total:
                 break
-    return float(total), None
+    return MomentSum(total, None)
 
 
 def _bits(value):
@@ -312,6 +362,7 @@ def test_the_moments_do_not_depend_on_which_query_ran_first(name):
     ladder_first = EmpiricalDistribution(sample)
     assert ladder_first.moment_l1_sum(300) == l1 == _moment_l1_sum_one_order(
         ladder_first.sample, 300)
+    _assert_close_to_the_long_double_loop(l1, ladder_first.sample, 300)
     assert [_bits(ladder_first.raw_moment(k)) for k in range(1, 7)] == list(map(_bits, raw))
 
 
@@ -323,8 +374,9 @@ def test_the_ladder_crosses_block_edges(name, n_terms):
     fresh = EmpiricalDistribution(sample)
     assert fresh.moment_l1_sum(n_terms) == want
     primed = EmpiricalDistribution(sample)
-    primed.raw_moment(6)  # one block of 32 orders already built
+    primed.raw_moment(6)  # the extended-precision power sums already built
     assert primed.moment_l1_sum(n_terms) == want
+    _assert_close_to_the_long_double_loop(want, fresh.sample, n_terms)
 
 
 @pytest.mark.parametrize("n_terms", [1, 2, 5])
@@ -332,7 +384,7 @@ def test_the_ladder_crosses_block_edges(name, n_terms):
 def test_raw_moment_extends_a_ladder_that_stopped_before_its_order(name, n_terms):
     d = EmpiricalDistribution(_moment_samples[name])
     d.moment_l1_sum(n_terms)
-    for k in (6, 33):  # order 33 needs a second block
+    for k in (6, 33):  # order 33 extends the power sums that order 6 built
         assert _bits(d.raw_moment(k)) == _bits(_sequential_mean(d.sample, k))
 
 

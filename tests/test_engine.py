@@ -774,10 +774,12 @@ def test_run_many_takes_the_statistics_in_any_order_and_rejects_unknown_names(st
         go(stats=("moments", "kurtosis"))
 
 
-@pytest.mark.parametrize("stats", [(), ("normality_p",)], ids=["core", "normality_p"])
+@pytest.mark.parametrize("stats", [(), ("normality_p",), ("moment_l1",)],
+                         ids=["core", "normality_p", "moment_l1"])
 def test_a_probe_that_reads_no_moment_builds_no_power_sums(monkeypatch, stats):
-    """The autonomy and normality probes pay nothing for the moment ladder:
-    with its builder patched to raise, their runs still complete."""
+    """The autonomy and normality probes pay nothing for the raw moments'
+    extended-precision power sums, and neither does the float64 moment_l1
+    ladder: with their builder patched to raise, these runs still complete."""
     data = generate_linear(120, 4, noise_variance=1.0, seed=16)
     config = cfg(total_steps=60, adherence_s=1.5, repeats=2, probe_every=20)
     want = run(data, config, kappa_list=[0.1], stats=stats)
