@@ -20,10 +20,8 @@ from loopsim import (
     weak_limit_probe,
 )
 
-grow = AnalyticMap(base=gaussian_density(0.0, 1.0), psi=power_sequence(1.2),
-                   dimension=1)
-shrink = AnalyticMap(base=gaussian_density(0.0, 1.0), psi=power_sequence(0.8),
-                     dimension=1)
+grow = AnalyticMap(base=gaussian_density(0.0, 1.0), psi=power_sequence(1.2))
+shrink = AnalyticMap(base=gaussian_density(0.0, 1.0), psi=power_sequence(0.8))
 
 print("mass conservation: envelope_norm should be 1 at every t")
 for t in (1, 5, 20):

@@ -33,8 +33,7 @@ for i in picks:
 ratio = report.moment_l1_trace[-1] / report.moment_l1_trace[0]
 print(f"  final/initial ratio {ratio:.2e}")
 
-amap = AnalyticMap(base=gaussian_density(0.0, 1.0), psi=power_sequence(1.1),
-                   dimension=1)
+amap = AnalyticMap(base=gaussian_density(0.0, 1.0), psi=power_sequence(1.1))
 print("\nanalytic check, psi_t = 1.1^t on a standard normal base:")
 print(f"{'t':>4s} {'k':>3s} {'quadrature':>14s} {'scaling law':>14s}")
 for t in (5, 25):

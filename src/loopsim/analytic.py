@@ -1,19 +1,22 @@
 """Exact density-map family and its limit/moment/norm probes.
 
-The central object is the scaling map family f_t(x) = psi_t^n * f0(psi_t * x)
-driven by a positive sequence psi_t. Operations here are the analytic side
-of the simulator: weak-limit probes against compact test functions,
-the multiplicativity check that separates autonomous from non-autonomous
-sequences, exact moment scaling, and a quadrature lower bound for the
-operator norm of a one-step density transformation.
+The central object is the scaling map family f_t(x) = psi_t * f0(psi_t * x)
+of a density on the line, driven by a positive sequence psi_t. Operations
+here are the analytic side of the simulator: weak-limit probes against
+compact test functions, the multiplicativity check that separates
+autonomous from non-autonomous sequences, exact moment scaling, and a
+quadrature lower bound for the operator norm of a one-step density
+transformation.
 
-All quadrature is one-dimensional: 20-point Gauss-Legendre on 1, 2, 4, ... panels per piece
+All quadrature is on the line: 20-point Gauss-Legendre on 1, 2, 4, ... panels per piece
 between breakpoints, until every piece's last two estimates agree within 1e-8 or 1e-10 relative.
+Integrands map an array of points to an array: one call per refinement level.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +24,7 @@ QUAD_EPSABS = 1e-8
 QUAD_EPSREL = 1e-10
 QUAD_MAX_PANELS = 2**12
 GAUSSIAN_SUPPORT_SDS = 12.0
+AUTONOMY_REL_TOL = 1e-9
 _gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(20))  # on first use
 
 
@@ -38,8 +42,9 @@ def _check_interval(name: str, interval: tuple) -> None:
 class DensityFn:
     """A probability density given by an evaluator and a finite support hint.
 
-    The support hint bounds where the mass lives; evaluators may be
-    nonzero only inside.
+    The evaluator takes a numpy array of points and returns the density
+    at each, in an array of the same shape. The support hint bounds where
+    the mass lives; evaluators may be nonzero only inside.
     """
 
     evaluator: object
@@ -69,7 +74,11 @@ class PsiSequence:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A continuous test function with declared compact support."""
+    """A continuous test function with declared compact support.
+
+    The evaluator takes a numpy array of points and returns an array of
+    the same shape.
+    """
 
     evaluator: object
     support: tuple
@@ -80,15 +89,10 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class AnalyticMap:
-    """The scaling family applied to a base density, in a fixed dimension."""
+    """The scaling family applied to a base density on the line."""
 
     base: DensityFn
     psi: PsiSequence
-    dimension: int = 1
-
-    def __post_init__(self):
-        if int(self.dimension) < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dimension}")
 
 
 def gaussian_density(mean: float = 0.0, variance: float = 1.0) -> DensityFn:
@@ -130,28 +134,26 @@ def linear_sequence() -> PsiSequence:
     return PsiSequence(lambda t: float(t))
 
 
-def triangle_test_function(half_width: float = 1.0, center: float = 0.0) -> TestFunction:
-    """The tent function max(0, 1 - |x - center|/half_width)."""
+def triangle_test_function(half_width: float = 1.0) -> TestFunction:
+    """The tent function max(0, 1 - |x|/half_width)."""
     if half_width <= 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
 
     def evaluator(x):
-        xa = np.asarray(x, dtype=float)
-        return np.maximum(0.0, 1.0 - np.abs(xa - center) / half_width)
+        return np.maximum(0.0, 1.0 - np.abs(np.asarray(x, dtype=float)) / half_width)
 
-    return TestFunction(evaluator, (center - half_width, center + half_width))
+    return TestFunction(evaluator, (-half_width, half_width))
 
 
 def _step_density(amap: AnalyticMap, t: int):
     """The step-t density (an array, 0-d for a scalar x) and its support hint, from one psi_t."""
-    psi_t = amap.psi.at(t)
-    height, f0 = psi_t**amap.dimension, amap.base.evaluator
+    psi_t, f0 = amap.psi.at(t), amap.base.evaluator
     lo, hi = amap.base.support_hint
-    return (lambda x: height * f0(psi_t * np.asarray(x, dtype=float))), (lo / psi_t, hi / psi_t)
+    return (lambda x: psi_t * f0(psi_t * np.asarray(x, dtype=float))), (lo / psi_t, hi / psi_t)
 
 
 def apply_map(amap: AnalyticMap, t: int, x):
-    """Evaluate the transformed density at step t: psi_t^n * f0(psi_t * x)."""
+    """Evaluate the transformed density at step t: psi_t * f0(psi_t * x)."""
     value = _step_density(amap, t)[0](x)
     if np.ndim(x) == 0:
         return float(value)
@@ -167,7 +169,6 @@ def _quad(fn, lo, hi, points) -> float:
     if lo >= hi:
         return 0.0
     nodes, weights = _gauss_legendre()
-    vfn = np.vectorize(fn, otypes=[float])  # evaluators take one point at a time
     edges = np.array([lo, *sorted(p for p in points if lo < p < hi), hi])
     estimate, change, panels = np.nan, np.inf, 1
     while not np.all(change <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(estimate))):
@@ -175,19 +176,13 @@ def _quad(fn, lo, hi, points) -> float:
             raise QuadratureError(f"quadrature did not converge within {QUAD_MAX_PANELS} panels")
         half = np.diff(edges)[:, None, None] / (2 * panels)
         x = edges[:-1, None, None] + half * (np.arange(1, 2 * panels, 2)[:, None] + nodes)
-        refined = (vfn(x) @ weights).sum(axis=1) * half[:, 0, 0]
+        refined = (fn(x) @ weights).sum(axis=1) * half[:, 0, 0]
         estimate, change, panels = refined, np.abs(refined - estimate), 2 * panels
     return float(estimate.sum())
 
 
-def _require_dimension_one(amap: AnalyticMap, op: str) -> None:
-    if amap.dimension != 1:
-        raise ValueError(f"{op} integrates numerically and supports dimension 1 only")
-
-
 def envelope_norm(amap: AnalyticMap, t: int) -> float:
     """Quadrature norm of the step-t density; should be 1 for any psi_t."""
-    _require_dimension_one(amap, "envelope_norm")
     density, (lo, hi) = _step_density(amap, t)
     return _quad(density, lo, hi, points=(0.0,))
 
@@ -200,45 +195,33 @@ def weak_limit_probe(amap: AnalyticMap, phi: TestFunction, t_list) -> list[float
     split at the interior endpoints so the panels see the moving
     concentration region.
     """
-    _require_dimension_one(amap, "weak_limit_probe")
+    p_lo, p_hi = phi.support
     values = []
     for t in t_list:
         density, (f_lo, f_hi) = _step_density(amap, t)
-        p_lo, p_hi = phi.support
-        lo, hi = max(f_lo, p_lo), min(f_hi, p_hi)
-
-        def integrand(x, density=density):
-            return density(x) * float(phi.evaluator(x))
-
-        values.append(_quad(integrand, lo, hi, points=(0.0, f_lo, f_hi)))
+        values.append(_quad(lambda x: density(x) * phi.evaluator(x),
+                            max(f_lo, p_lo), min(f_hi, p_hi), (0.0, f_lo, f_hi)))
     return values
 
 
-@dataclass(frozen=True)
-class AutonomyCheckResult:
+class AutonomyCheckResult(NamedTuple):
     """Outcome of the multiplicativity check over a step horizon."""
 
     autonomous: bool
     max_violation: float
     worst_pair: tuple
 
-    def __iter__(self):
-        # unpack support: ok, violation, pair = autonomy_check(...)
-        return iter((self.autonomous, self.max_violation, self.worst_pair))
 
-
-def autonomy_check(psi: PsiSequence, horizon: int, rel_tol: float = 1e-9) -> AutonomyCheckResult:
+def autonomy_check(psi: PsiSequence, horizon: int) -> AutonomyCheckResult:
     """Check psi_(tau+kappa) = psi_tau * psi_kappa over all pairs in range.
 
     The relative violation |psi_(tau+kappa) - psi_tau*psi_kappa| /
-    psi_(tau+kappa) must stay within rel_tol for every pair with
+    psi_(tau+kappa) must stay within AUTONOMY_REL_TOL for every pair with
     tau, kappa >= 1 and tau + kappa <= horizon. Exactly the power
     sequences pass for every horizon.
     """
     if horizon < 2:
         raise ValueError(f"horizon must be at least 2, got {horizon}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     cache = {t: psi.at(t) for t in range(1, horizon + 1)}
     worst = 0.0
     worst_pair = (1, 1)
@@ -249,7 +232,7 @@ def autonomy_check(psi: PsiSequence, horizon: int, rel_tol: float = 1e-9) -> Aut
             if violation > worst:
                 worst = violation
                 worst_pair = (tau, kap)
-    return AutonomyCheckResult(worst <= rel_tol, worst, worst_pair)
+    return AutonomyCheckResult(worst <= AUTONOMY_REL_TOL, worst, worst_pair)
 
 
 def moment_scaling_predict(amap: AnalyticMap, k: int, t: int, nu_k_0: float) -> float:
@@ -289,4 +272,4 @@ def operator_norm_lower_bound(transform, interval, breakpoints=None) -> float:
     indicator = uniform_density(lo, hi)
     image = transform(indicator.evaluator)
     pts = list(breakpoints) if breakpoints is not None else [lo, hi, 0.0]
-    return _quad(lambda x: float(image(x)), lo, hi, points=pts)
+    return _quad(image, lo, hi, points=pts)

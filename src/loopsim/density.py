@@ -105,12 +105,11 @@ class EmpiricalDistribution:
     """Immutable sorted sample with distribution queries.
 
     Construction sorts a copy of the input; all queries are read-only and
-    safe to call concurrently. raw_moment reads a lazily built ladder of
-    extended-precision power sums, which the first query for a higher
-    order extends up to that order; moment_l1_sum runs its own float64
-    ladder and builds none of it, and neither does construction. The
-    ladder is replaced, never mutated, so a concurrent query at worst
-    builds an order twice.
+    safe to call concurrently. raw_moment reads a lazily built tuple of
+    extended-precision power sums, which a query for a higher order
+    rebuilds from the sample up to that order; moment_l1_sum runs its own
+    float64 ladder and builds none of it, and neither does construction.
+    A concurrent query at worst builds the tuple twice.
     """
 
     def __init__(self, sample):
@@ -121,9 +120,8 @@ class EmpiricalDistribution:
             raise ValueError("sample must be finite")
         self._sample = arr
         self._sample.flags.writeable = False
-        # (power sums for orders 0..K, the sequential product x**K); the
-        # sums are a tuple of extended-precision scalars
-        self._ladder = None
+        # power sums for orders 0..K, a tuple of extended-precision scalars
+        self._sums = ()
 
     @property
     def sample(self) -> np.ndarray:
@@ -176,24 +174,22 @@ class EmpiricalDistribution:
         """Power sums for orders 0..K with K >= order: entry k is the mean of
         the sequential extended-precision product x*x*...*x (k factors).
 
-        The missing orders are built in one block: the sample fills a
-        (missing orders, N) buffer whose first row is seeded with the
-        previous product, np.multiply.accumulate turns its rows into the
-        next powers, and each row's pairwise sum over N gives that order's
-        sum, as the one-order loop would.
+        Orders 1..order are built in one block from the sample: it fills an
+        (order, N) buffer, np.multiply.accumulate turns its rows into the
+        powers, and each row's pairwise sum over N gives that order's sum,
+        as the one-order loop would. A query for a higher order than the
+        kept sums hold builds the block again from the start.
         """
-        sums, last = self._ladder or ((np.longdouble(1.0),), None)
+        sums = self._sums
         if len(sums) > order:
             return sums
         with np.errstate(over="ignore", invalid="ignore"):
-            buf = np.empty((order + 1 - len(sums), self.n), dtype=np.longdouble)
+            buf = np.empty((order, self.n), dtype=np.longdouble)
             buf[0] = self._sample
             buf[1:] = buf[0]  # one cast per block: casting each row costs 10x a copy
-            if last is not None:
-                np.multiply(last, buf[0], out=buf[0])
             np.multiply.accumulate(buf, axis=0, out=buf)
-            sums += tuple(np.add.reduce(buf, axis=1) / self.n)
-        self._ladder = (sums, buf[-1].copy())
+            sums = (np.longdouble(1.0), *(np.add.reduce(buf, axis=1) / self.n))
+        self._sums = sums
         return sums
 
     def raw_moment(self, k: int) -> float:

@@ -139,8 +139,7 @@ def test_criterion_05_moment_collapse_and_scaling(lin500):
         adherence_s=0.0, seed=7, repeats=5))
     l1_ratio = report.moment_l1_trace[-1] / report.moment_l1_trace[0]
 
-    amap = AnalyticMap(base=gaussian_density(0.0, 1.0),
-                       psi=power_sequence(1.1), dimension=1)
+    amap = AnalyticMap(base=gaussian_density(0.0, 1.0), psi=power_sequence(1.1))
     double_factorial = {2: 1.0, 4: 3.0, 6: 15.0}
     worst_even_rel, worst_odd_abs = 0.0, 0.0
     for t in (1, 7, 25, 50):
