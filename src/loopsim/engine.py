@@ -21,8 +21,10 @@ MASS_COLUMN, MOMENT_ORDERS and OPTIONAL_STATS name) and step records into
 a DiagnosticsReport; ``run_many`` does the same for several configs that
 differ only in usage_p, adherence_s, seed and repeats, and
 ``stddev_surface`` for a (usage, adherence) grid. A lane is one (config,
-repeat) pair: the lanes of one run_many call advance in lockstep, and SGD
-lanes share one batched fit per retrain.
+repeat) pair. The lanes of one run_many call retrain and probe on the same
+steps, the events; between two events the model is fixed, so each lane
+steps on its own up to the next event. SGD lanes share one batched fit per
+retrain.
 """
 
 import dataclasses
@@ -498,14 +500,18 @@ def _observe(state, i, res, masses, stats):
 
 
 def _run_lanes(data, lanes, probe_steps, kappas, stats):
-    """Lanes in lockstep: per lane its per-probe statistics and step record,
-    or the exception that ended it.
+    """Lanes from event to event: per lane its per-probe statistics and step
+    record, or the exception that ended it.
 
     Each lane is a (config, repeat, child seed) triple of one lockstep
-    group, so all lanes retrain and probe on the same steps. Each lane
-    goes through init_state and step with its own rng; _refit retrains the
-    live lanes together. A lane that raises leaves the lockstep, and its
-    exception's message is prefixed with its repeat and step.
+    group, so all lanes retrain and probe on the same steps: the events.
+    Each lane starts in init_state with its own rng; run_many has checked
+    the rows, so only an allocation can fail there, and that ends the call.
+    At each event every live lane first steps up to it on its own, since
+    lanes share nothing between refits; then _refit retrains the live lanes
+    together if the event is a retrain step, and each live lane is probed
+    if it is a probe step. A lane that raises leaves the group, and its
+    exception's message is prefixed with its repeat and the step it ended.
     """
     schedule = lanes[0][0]
     masses = [(MASS_COLUMN.format(kap), kap) for kap in kappas]
@@ -514,51 +520,34 @@ def _run_lanes(data, lanes, probe_steps, kappas, stats):
     res = [{name: np.full(len(probe_steps), np.nan) for name in names} for _ in lanes]
     lookup = {t: i for i, t in enumerate(probe_steps)}
     out = [None] * len(lanes)
-    states = [None] * len(lanes)
-    live = list(range(len(lanes)))
-    t = 0
+    live = {lane: init_state(data, config, np.random.default_rng(child), retrain=False)
+            for lane, (config, _, child) in enumerate(lanes)}
 
-    def end(lane, exc):
-        nonlocal live
+    def end(lane, exc, t):
         _name_failure(exc, lanes[lane][1], t)
         out[lane] = exc
-        # rebinding leaves any loop over the old list undisturbed
-        live = [other for other in live if other != lane]
+        del live[lane]
 
-    def each(action):
-        for lane in live:
+    retrains = range(0, schedule.total_steps + 1, schedule.retrain_period)
+    for t in sorted(set(retrains).union(probe_steps)):
+        for lane, state in list(live.items()):
             try:
-                action(lane)
+                while state.step_t < t:
+                    step(state, lanes[lane][0], retrain=False)
             except Exception as exc:
-                end(lane, exc)
-
-    def start(lane):
-        config, _, child = lanes[lane]
-        states[lane] = init_state(data, config, np.random.default_rng(child), retrain=False)
-
-    def retrain():
-        for lane, error in zip(live, _refit([states[lane] for lane in live], schedule)):
-            if error is not None:
-                end(lane, error)
-
-    def advance(lane):
-        step(states[lane], lanes[lane][0], retrain=False)
-
-    def observe(lane):
-        _observe(states[lane], lookup[t], res[lane], masses, stats)
-
-    each(start)
-    retrain()
-    if 0 in lookup:
-        each(observe)
-    for t in range(1, schedule.total_steps + 1):
-        each(advance)
+                end(lane, exc, state.step_t + 1)
         if t % schedule.retrain_period == 0:
-            retrain()
+            for lane, error in zip(list(live), _refit(list(live.values()), schedule)):
+                if error is not None:
+                    end(lane, error, t)
         if t in lookup:
-            each(observe)
-    for lane in live:
-        out[lane] = (res[lane], states[lane].record)
+            for lane, state in list(live.items()):
+                try:
+                    _observe(state, lookup[t], res[lane], masses, stats)
+                except Exception as exc:
+                    end(lane, exc, t)
+    for lane, state in live.items():
+        out[lane] = (res[lane], state.record)
     return out
 
 

@@ -170,7 +170,10 @@ def parse_config_file(path) -> dict:
     and a key given twice is refused."""
     raw = {}
     first_line = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not valid UTF-8: {path}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -221,7 +224,11 @@ def _parse_grid(key, value) -> tuple:
         start, stop, step = (_cast_float(key, p) for p in parts)
         if step <= 0 or stop < start:
             raise ConfigError(f"{key} range needs step > 0 and stop >= start, got {value!r}")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        count = (stop - start) / step
+        if not all(math.isfinite(v) for v in (start, stop, step, count)):
+            raise ConfigError(f"{key} range needs a finite start, stop, step and point count, "
+                              f"got {value!r}")
+        n = int(math.floor(count + 1e-9)) + 1
         return tuple(start + i * step for i in range(n))
     if "," in text:
         return tuple(_cast_float(key, p) for p in text.split(",") if p.strip())
@@ -654,7 +661,7 @@ def config_from_manifest(path) -> ExperimentConfig:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"manifest not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"manifest is not valid JSON: {path}") from exc
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest is not a JSON object: {path}")
@@ -694,7 +701,7 @@ def _verify_manifest(manifest_path: Path) -> dict:
     """
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, UnicodeDecodeError):
         manifest = None
     if not isinstance(manifest, dict):
         raise IntegrityError(f"{manifest_path}: not valid JSON")

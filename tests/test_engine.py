@@ -29,6 +29,7 @@ from loopsim.engine import (
     step,
 )
 from loopsim.regressors import TrainedModel, predict
+from reference_loop import reference_repeat
 
 
 def cfg(**kw):
@@ -454,20 +455,56 @@ def _sgd_cells():
                   for p, s, seed in cells]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_many_sgd_lanes_equal_a_hand_written_loop(workers):
-    data, configs = _sgd_cells()
-    reports = run_many(data, configs, None, [0.1], workers=workers)
+@st.composite
+def _lockstep_groups(draw):
+    """(data, configs, probes, kappas, stats): a small lockstep group of up
+    to three configs, on either setting and every model."""
+    setting = draw(st.sampled_from([SETTING_SAMPLING, SETTING_SLIDING]))
+    model = draw(st.sampled_from(["ridge_exact", "ridge_regularized", "sgd"]))
+    m = draw(st.integers(70, 300) if setting == SETTING_SLIDING else st.integers(20, 300))
+    data = generate_linear(m, draw(st.integers(1, 5)), noise_variance=1.0,
+                           seed=draw(st.integers(0, 2**16)))
+    reserve = m - 3 * m // 10 if setting == SETTING_SLIDING else 150  # past a 0.3 window
+    steps = draw(st.integers(1, min(150, reserve)))
+    base = cfg(setting=setting, model=model, total_steps=steps,
+               retrain_period=draw(st.integers(3, 40)), sgd_iterations=draw(st.integers(1, 3)),
+               regularization=draw(st.sampled_from([0.5, 3.0])))
+    cells = draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 3), st.integers(0, 99),
+                                    st.integers(1, 2)), min_size=1, max_size=3))
+    configs = [dataclasses.replace(base, usage_p=p, adherence_s=s, seed=seed, repeats=repeats)
+               for p, s, seed, repeats in cells]
+    probes = draw(st.none() | st.lists(st.integers(0, steps), max_size=6))
+    kappas = draw(st.lists(st.sampled_from([0.1, 0.5, 2.0]), unique=True, max_size=2))
+    stats = tuple(draw(st.sets(st.sampled_from(engine.ALL_STATS))))
+    return data, configs, probes, kappas, stats
+
+
+@given(_lockstep_groups(), st.sampled_from([1, 2]))
+@settings(max_examples=80, deadline=None)
+def test_run_many_equals_the_reference_loop_bit_for_bit(group, workers):
+    data, configs, probes, kappas, stats = group
+    reports = run_many(data, configs, probes, kappas, stats=stats, workers=workers)
+    probe_steps = engine.resolve_probes(configs[0], probes)
     for config, report in zip(configs, reports):
         children = np.random.SeedSequence(config.seed).spawn(config.repeats)
+        expected = []
         for repeat, child in enumerate(children):
-            state = init_state(data, config, np.random.default_rng(child))
-            stddev = [np.std(state.residuals())]
-            for t in range(1, config.total_steps + 1):
-                step(state, config)
-                if t % 10 == 0:
-                    stddev.append(np.std(state.residuals()))
-            assert report.per_repeat["stddev"][repeat].tobytes() == np.array(stddev).tobytes()
+            try:
+                expected.append(reference_repeat(data, config, child, probe_steps, kappas, stats))
+            except Exception as exc:
+                # the report is the first failed repeat's exception, named
+                assert isinstance(report, type(exc))
+                assert str(report).startswith(f"repeat {repeat}, step ")
+                assert str(report).endswith(f": {exc}")
+                break
+        else:
+            spikes = sum(columns.pop("spike") for columns, _ in expected)
+            assert report.spike_counts.tobytes() == spikes.tobytes()
+            for repeat, (columns, record) in enumerate(expected):
+                assert set(report.per_repeat) == set(columns)
+                for name, values in columns.items():
+                    assert report.per_repeat[name][repeat].tobytes() == values.tobytes(), name
+                assert report.step_traces[repeat].tobytes() == record.tobytes()
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -576,6 +613,28 @@ def test_a_lane_failing_in_the_parents_share_is_named_and_leaves_its_chunk_mates
     assert str(reports[0]) == "repeat 0, step 42: boom"
     assert _report_bytes(reports[1]) == _report_bytes(serial[1])
     assert _report_bytes(reports[2]) == _report_bytes(serial[2])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_lane_failing_at_a_probe_is_named_and_leaves_its_chunk_mates_alone(monkeypatch):
+    # repeat 1 of configs[1] is lane 2 of 8: the parent's task at workers 2
+    data, configs = _many_lanes()
+    serial = run_many(data, configs, None, [0.1])
+    real_observe = engine._observe
+
+    def flaky_observe(state, i, res, masses, stats):
+        seq = state.rng.bit_generator.seed_seq
+        if (seq.entropy, seq.spawn_key, state.step_t) == (configs[1].seed, (1,), 40):
+            raise FloatingPointError("boom")
+        return real_observe(state, i, res, masses, stats)
+
+    monkeypatch.setattr(engine, "_observe", flaky_observe)
+    for workers in (1, 2):
+        reports = run_many(data, configs, None, [0.1], workers=workers)
+        assert isinstance(reports[1], FloatingPointError)
+        assert str(reports[1]) == "repeat 1, step 40: boom"
+        assert _report_bytes(reports[0]) == _report_bytes(serial[0])
+        assert _report_bytes(reports[2]) == _report_bytes(serial[2])
     assert multiprocessing.active_children() == []
 
 

@@ -367,10 +367,10 @@ def test_report_detects_tampering(trace_run, tmp_path):
         report([result.manifest_path], tmp_path / "never")
 
 
-@pytest.mark.parametrize("body", ["{'config_hash': 1}", "[1, 2]"])
+@pytest.mark.parametrize("body", [b"{'config_hash': 1}", b"[1, 2]", b'{"config_hash": "\xff"}'])
 def test_cli_report_names_a_manifest_that_is_not_a_json_object(tmp_path, capsys, body):
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(body, encoding="utf-8")
+    manifest.write_bytes(body)
     code = cli.main(["report", str(manifest), "--out-dir", str(tmp_path / "merged")])
     assert code == 1
     assert capsys.readouterr().err == f"integrity error: {manifest}: not valid JSON\n"
@@ -517,6 +517,20 @@ def test_cli_gen_data_rejects_narrow_friedman(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--config", "config file is not valid UTF-8: {path}"),
+    ("--from-manifest", "manifest is not valid JSON: {path}"),
+], ids=["config", "from-manifest"])
+def test_cli_run_names_a_config_file_or_manifest_that_is_not_utf8(tmp_path, capsys, flag,
+                                                                  message):
+    path = tmp_path / "config.txt"
+    path.write_bytes(b"experiment=density_trace\nseed=\xff\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", flag, str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+    assert not out.exists()
+
+
 def test_cli_run_from_config_file_with_override(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
@@ -595,6 +609,10 @@ NON_FINITE_CASES = [
     ("demo_variance", ["--experiment", "analytic_demo", "--demo-variance", "inf"]),
     ("segment", ["--experiment", "autonomy", "--segment", "nan:5"]),
     ("segment", ["--experiment", "autonomy", "--segment", "0:inf"]),
+    ("usage_grid", ["--experiment", "sweep", "--usage-grid", "0:nan:1"]),
+    ("adherence_grid", ["--experiment", "sweep", "--adherence-grid", "0:inf:1"]),
+    ("usage_grid", ["--experiment", "sweep", "--usage-grid", "0:1:inf"]),
+    ("usage_grid", ["--experiment", "sweep", "--usage-grid", "1e-320:1:1e-320"]),
 ]
 
 
