@@ -455,6 +455,22 @@ def _sgd_cells():
                   for p, s, seed in cells]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_many_sgd_lanes_equal_a_hand_written_loop(workers):
+    data, configs = _sgd_cells()
+    reports = run_many(data, configs, None, [0.1], workers=workers)
+    for config, report in zip(configs, reports):
+        children = np.random.SeedSequence(config.seed).spawn(config.repeats)
+        for repeat, child in enumerate(children):
+            state = init_state(data, config, np.random.default_rng(child))
+            stddev = [np.std(state.residuals())]
+            for t in range(1, config.total_steps + 1):
+                step(state, config)
+                if t % 10 == 0:
+                    stddev.append(np.std(state.residuals()))
+            assert report.per_repeat["stddev"][repeat].tobytes() == np.array(stddev).tobytes()
+
+
 @st.composite
 def _lockstep_groups(draw):
     """(data, configs, probes, kappas, stats): a small lockstep group of up
