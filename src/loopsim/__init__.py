@@ -55,7 +55,7 @@ from loopsim.engine import (
 )
 from loopsim.regressors import TrainedModel, fit_huber_line, fit_ridge, fit_sgd, mse, predict
 
-__version__ = "0.3.4"
+__version__ = "0.3.5"
 
 __all__ = [
     "AnalyticMap",

@@ -3,8 +3,9 @@
 Everything measurable about one residual sample lives here: the empirical
 CDF with its distribution-free DKW confidence band, a point-density
 estimate (Gaussian KDE with Silverman bandwidth), interval masses, raw
-moments in extended precision, and the saturation-aware float64 sum of the
-high-order moments. Which of them a loop probe records, and under which
+moments in extended precision (sequential products), and the
+saturation-aware float64 sum of the high-order moments (powers by block
+products). Which of them a loop probe records, and under which
 trace column, is engine's.
 """
 
@@ -16,7 +17,9 @@ import numpy as np
 # fewest sample points a point-density estimate accepts
 MIN_DENSITY_POINTS = 20
 # most orders one block of the moment_l1 ladder computes at once; its
-# buffer holds this many float64 copies of the sample
+# buffer holds this many float64 copies of the sample, plus one for u**32.
+# A larger block costs the ladders that stop within the first one more
+# than it saves on the full ones.
 LADDER_BLOCK = 32
 
 
@@ -138,7 +141,7 @@ class EmpiricalDistribution:
 
     def interval_mass(self, kappa: float) -> float:
         """Empirical mass of [-kappa, kappa]: ecdf(kappa) - ecdf(-kappa)."""
-        if kappa <= 0:
+        if not kappa > 0:  # NaN too
             raise ValueError("kappa must be positive")
         return float(self.ecdf(kappa) - self.ecdf(-kappa))
 
@@ -174,11 +177,12 @@ class EmpiricalDistribution:
         """Power sums for orders 0..K with K >= order: entry k is the mean of
         the sequential extended-precision product x*x*...*x (k factors).
 
-        Orders 1..order are built in one block from the sample: it fills an
-        (order, N) buffer, np.multiply.accumulate turns its rows into the
-        powers, and each row's pairwise sum over N gives that order's sum,
-        as the one-order loop would. A query for a higher order than the
-        kept sums hold builds the block again from the start.
+        Orders 1..order are built in one block from the sample: row k-1 of
+        an (order, N) buffer is row k-2 times the sample, one whole-row
+        multiply per order, and each row's pairwise sum over N gives that
+        order's sum, as the one-order loop would. A query for a higher
+        order than the kept sums hold builds the block again from the
+        start.
         """
         sums = self._sums
         if len(sums) > order:
@@ -186,8 +190,8 @@ class EmpiricalDistribution:
         with np.errstate(over="ignore", invalid="ignore"):
             buf = np.empty((order, self.n), dtype=np.longdouble)
             buf[0] = self._sample
-            buf[1:] = buf[0]  # one cast per block: casting each row costs 10x a copy
-            np.multiply.accumulate(buf, axis=0, out=buf)
+            for r in range(1, order):
+                np.multiply(buf[r - 1], buf[0], out=buf[r])
             sums = (np.longdouble(1.0), *(np.add.reduce(buf, axis=1) / self.n))
         self._sums = sums
         return sums
@@ -213,8 +217,12 @@ class EmpiricalDistribution:
         with max|x| = f * 2**e (0.5 <= f < 1), u = x * 2**-e is exact (but
         where it falls below 2**-1022, too small to move any term) and
         |u| < 1, so no power of u overflows. Order k's term is
-        |ldexp(mean(u**k), e*k)|, where u**k is the sequential product
-        u*u*...*u and the mean is a pairwise sum over N divided by N. The
+        |ldexp(mean(u**k), e*k)|, where the mean is a pairwise sum over N
+        divided by N. The powers are block products: for k <= 32, u**k is
+        u**(k-r) * u**r with r the largest power of two below k (u**2 =
+        u*u, u**3 = u*u**2, u**5..u**8 = u..u**4 times u**4, ...), and
+        u**(k+32) = u**k * u**32. Each u**k is still a product of k
+        factors with k - 1 roundings, as the sequential product is. The
         terms are added in order. If term k is not finite, or adding it
         takes the sum past the float64 range, the partial sum up to order
         k - 1 is returned with truncated_at=k, so the value is always
@@ -225,10 +233,12 @@ class EmpiricalDistribution:
         the sum. Rounding is monotone, so no later term could have changed
         it either, and the result equals the full sum.
 
-        The powers are computed LADDER_BLOCK orders at a time, one row per
-        order; each block's means, running sums and stop rule take
-        whole-array calls, so Python loops once per block. None of this
-        reads the extended-precision power sums of raw_moment.
+        The powers are computed LADDER_BLOCK (32) orders at a time, one row
+        per order: the first block in five doubling multiplies, each later
+        one in a single multiply by u**32. Each block's means, running sums
+        and stop rule take whole-array calls, so Python loops once per
+        block. None of this reads the extended-precision power sums of
+        raw_moment.
         """
         if n_terms < 1:
             raise ValueError("n_terms must be >= 1")
@@ -249,11 +259,17 @@ class EmpiricalDistribution:
             for first in range(0, n_terms, LADDER_BLOCK):
                 rows = min(LADDER_BLOCK, n_terms - first)
                 if first == 0:
+                    # doubling: rows r..2r-1 (powers r+1..2r) are rows 0..r-1 times u**r
                     buf[0] = u
-                else:  # the previous block was full, so buf[-1] holds its last power
-                    np.multiply(buf[-1], u, out=buf[0])
-                for r in range(1, rows):
-                    np.multiply(buf[r - 1], u, out=buf[r])
+                    r = 1
+                    while r < rows:
+                        top = min(2 * r, rows)
+                        np.multiply(buf[:top - r], buf[r - 1], out=buf[r:top])
+                        r = top
+                    if rows < n_terms:
+                        u_block = buf[-1].copy()  # u**LADDER_BLOCK
+                else:  # the previous block was full: its rows times u**LADDER_BLOCK
+                    np.multiply(buf[:rows], u_block, out=buf[:rows])
                 sums = np.add.reduce(buf[:rows], axis=1) / self.n
                 terms = np.abs(np.ldexp(sums, shifts[first:first + rows]))
                 terms[0] += total

@@ -7,6 +7,7 @@ tests refer their statistic to a chi-square tail with 1 or 2 degrees of
 freedom, which has a closed form, so this module needs numpy only.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -47,6 +48,33 @@ class AutonomyFit:
         }
 
 
+@functools.lru_cache(maxsize=64)
+def _normality_constants(size: int) -> tuple:
+    """The terms of normality_test that depend on the sample size alone.
+
+    Returns the skewness factor sqrt((n+1)(n+3) / (6(n-2))), D'Agostino's
+    delta and alpha, the kurtosis mean e and standard deviation
+    varb2**0.5, and Anscombe and Glynn's term1, (2/(a-4))**0.5, 1 - 2/a
+    and (2/(9a))**0.5, each computed from the 0-d array n as scipy does.
+    """
+    # n is a 0-d array as in scipy, so every power below takes numpy's path, not Python's
+    n = np.asarray(float(size))
+    with np.errstate(all="ignore"):
+        skew_factor = np.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
+        beta2 = (3.0 * (n**2 + 27*n - 70) * (n+1) * (n+3)
+                 / ((n-2.0) * (n+5) * (n+7) * (n+9)))
+        w2 = -1 + np.sqrt(2 * (beta2 - 1))
+        delta = 1 / np.sqrt(0.5 * np.log(w2))
+        alpha = np.sqrt(2.0 / (w2 - 1))
+        e = 3.0*(n-1) / (n+1)
+        varb2 = 24.0*n*(n-2)*(n-3) / ((n+1)*(n+1.)*(n+3)*(n+5))
+        sqrtbeta1 = 6.0*(n*n-5*n+2)/((n+7)*(n+9)) * ((6.0*(n+3)*(n+5))
+                                                     / (n*(n-2)*(n-3)))**0.5
+        a = 6.0 + 8.0/sqrtbeta1 * (2.0/sqrtbeta1 + (1+4.0/(sqrtbeta1**2))**0.5)
+        return (skew_factor, delta, alpha, e, varb2**0.5,
+                1 - 2/(9.0*a), (2/(a-4.0))**0.5, 1-2.0/a, (2/(9.0*a))**0.5)
+
+
 def normality_test(sample) -> tuple[float, float]:
     """D'Agostino-Pearson omnibus normality test.
 
@@ -55,17 +83,19 @@ def normality_test(sample) -> tuple[float, float]:
     least 20 points for the transforms to be calibrated.
 
     A port of scipy.stats.normaltest (skewtest + kurtosistest) that keeps
-    scipy's order of operations, so K^2 matches it bit for bit. The
-    p-value is the closed-form chi-square(2) tail exp(-K^2 / 2), which
-    agrees with scipy's to rounding but not always to the last bit.
-    Constant samples, and samples whose fourth powers leave the float
-    range (scales above about 1e75 or below 1e-75), give NaN as in scipy.
+    scipy's order of operations, so K^2 matches it bit for bit. The terms
+    that depend on the sample size alone are computed once per size and
+    kept (_normality_constants), with the same expressions. The p-value
+    is the closed-form chi-square(2) tail exp(-K^2 / 2), which agrees with
+    scipy's to rounding but not always to the last bit. Constant samples,
+    and samples whose fourth powers leave the float range (scales above
+    about 1e75 or below 1e-75), give NaN as in scipy.
     """
     arr = np.asarray(sample, dtype=float)
     if arr.ndim != 1 or arr.size < 20:
         raise InsufficientSampleError(f"normality test needs >= 20 points, got {arr.size}")
-    # n is a 0-d array as in scipy, so every power below takes numpy's path, not Python's
-    n = np.asarray(float(arr.size))
+    (skew_factor, delta, alpha, e, sd_b2,
+     term1, kurt_factor, one_minus, z_scale) = _normality_constants(arr.size)
     with np.errstate(all="ignore"):
         mean = np.mean(arr, keepdims=True)
         d = arr - mean
@@ -73,26 +103,15 @@ def normality_test(sample) -> tuple[float, float]:
         m2, m3, m4 = np.mean(d2), np.mean(d2 * d), np.mean(d2**2)
         zero = m2 <= (np.finfo(float).eps * mean[0]) ** 2
         # skewtest: the skewness m3 / m2^1.5 through D'Agostino's transform
-        y = (np.nan if zero else m3 / m2**1.5) * np.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
-        beta2 = (3.0 * (n**2 + 27*n - 70) * (n+1) * (n+3)
-                 / ((n-2.0) * (n+5) * (n+7) * (n+9)))
-        w2 = -1 + np.sqrt(2 * (beta2 - 1))
-        delta = 1 / np.sqrt(0.5 * np.log(w2))
-        alpha = np.sqrt(2.0 / (w2 - 1))
+        y = (np.nan if zero else m3 / m2**1.5) * skew_factor
         y = 1.0 if y == 0 else y
         z_skew = delta * np.log(y / alpha + np.sqrt((y / alpha)**2 + 1))
         # kurtosistest: the kurtosis m4 / m2^2 through Anscombe and Glynn's transform
         b2 = np.nan if zero else m4 / m2**2.0
-        e = 3.0*(n-1) / (n+1)
-        varb2 = 24.0*n*(n-2)*(n-3) / ((n+1)*(n+1.)*(n+3)*(n+5))
-        x = (b2-e) / varb2**0.5
-        sqrtbeta1 = 6.0*(n*n-5*n+2)/((n+7)*(n+9)) * ((6.0*(n+3)*(n+5))
-                                                     / (n*(n-2)*(n-3)))**0.5
-        a = 6.0 + 8.0/sqrtbeta1 * (2.0/sqrtbeta1 + (1+4.0/(sqrtbeta1**2))**0.5)
-        term1 = 1 - 2/(9.0*a)
-        denom = 1 + x * (2/(a-4.0))**0.5
-        term2 = np.nan if denom == 0 else np.sign(denom) * ((1-2.0/a)/np.abs(denom))**(1/3)
-        z_kurt = (term1 - term2) / (2/(9.0*a))**0.5
+        x = (b2-e) / sd_b2
+        denom = 1 + x * kurt_factor
+        term2 = np.nan if denom == 0 else np.sign(denom) * (one_minus/np.abs(denom))**(1/3)
+        z_kurt = (term1 - term2) / z_scale
         statistic = z_skew*z_skew + z_kurt*z_kurt
     return float(statistic), math.exp(-statistic / 2)
 

@@ -434,10 +434,25 @@ class DiagnosticsReport:
         return out
 
     def std(self, stat) -> np.ndarray:
-        """Standard deviation over repeats, ignoring NaN."""
+        """Standard deviation over repeats, ignoring NaN; finite and nonzero
+        wherever the true value is.
+
+        Where the squared deviations leave the float range (an overflow, or
+        an underflow of unequal values to 0), that column is scaled by a
+        power of two near its largest value before the plain std, as in
+        density.spread, so every other column keeps its bits.
+        """
+        values = self.per_repeat[stat]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", category=RuntimeWarning)
-            return np.nanstd(self.per_repeat[stat], axis=0)
+            out = np.nanstd(values, axis=0)
+            bad = ~np.isfinite(out) | (
+                (out == 0) & (np.nanmax(values, axis=0) > np.nanmin(values, axis=0)))
+            if bad.any():
+                top = np.nanmax(np.abs(values[:, bad]), axis=0)
+                scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
+                out[bad] = np.nanstd(values[:, bad] / scale, axis=0) * scale
+        return out
 
     repeats_aggregated = property(lambda self: len(self.per_repeat["psi"]))
     psi_trace = property(lambda self: self.mean("psi"))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -411,3 +411,25 @@ def test_report_mean_stays_finite_near_the_float_maximum():
 def test_report_mean_is_the_plain_nanmean_where_finite(values):
     rep = _report([[v] for v in values])
     assert rep.mean("moment_l1")[0] == np.nanmean(rep.per_repeat["moment_l1"], axis=0)[0]
+
+
+def test_report_std_stays_finite_where_the_squared_deviations_leave_the_range():
+    rep = _report([[1e160, 2e160, 1e-170, 1.0, np.nan],
+                   [3e160, 6e160, 3e-170, 3.0, np.nan]])
+    with np.errstate(over="ignore"):
+        plain = np.nanstd(rep.per_repeat["moment_l1"][:, :4], axis=0)
+    assert np.isinf(plain[:2]).all() and plain[2] == 0.0
+    std = rep.std("moment_l1")
+    assert std[:3] == pytest.approx([1e160, 2e160, 1e-170], rel=1e-15)
+    # an in-range std keeps its bits, and an all-NaN probe stays NaN
+    assert std[3] == plain[3] == 1.0
+    assert np.isnan(std[4])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e150, 1e150, allow_nan=False), min_size=1, max_size=12))
+def test_report_std_is_the_plain_nanstd_where_finite_and_nonzero(values):
+    rep = _report([[v] for v in values])
+    plain = np.nanstd(rep.per_repeat["moment_l1"], axis=0)[0]
+    assume(plain > 0 or min(values) == max(values))
+    assert rep.std("moment_l1")[0] == plain
