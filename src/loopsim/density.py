@@ -2,13 +2,15 @@
 
 Everything measurable about one residual sample lives here: the empirical
 CDF with its distribution-free DKW confidence band, a point-density
-estimate (Gaussian KDE with Silverman bandwidth), interval masses, raw
-moments in extended precision (sequential products), and the
-saturation-aware float64 sum of the high-order moments (powers by block
-products). Which of them a loop probe records, and under which
-trace column, is engine's.
+estimate (Gaussian KDE with Silverman bandwidth), interval masses, and the
+raw moments with the saturation-aware sum of their absolute values, both
+read off one float64 ladder of powers (the sample scaled by a power of
+two, the powers by block products). Every query computes in float64, so
+its bits do not depend on the platform's long double. Which of them a
+loop probe records, and under which trace column, is engine's.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -16,8 +18,8 @@ import numpy as np
 
 # fewest sample points a point-density estimate accepts
 MIN_DENSITY_POINTS = 20
-# most orders one block of the moment_l1 ladder computes at once; its
-# buffer holds this many float64 copies of the sample, plus one for u**32.
+# orders per block of the moment ladder; a block holds this many float64
+# copies of the sample, and the ladder keeps its last block plus u**32.
 # A larger block costs the ladders that stop within the first one more
 # than it saves on the full ones.
 LADDER_BLOCK = 32
@@ -28,7 +30,7 @@ class InsufficientSampleError(ValueError):
 
 
 class SaturationError(FloatingPointError):
-    """Raised when a moment overflows even in extended precision."""
+    """Raised when a raw moment leaves the float64 range."""
 
 
 class DegenerateSpike:
@@ -108,11 +110,11 @@ class EmpiricalDistribution:
     """Immutable sorted sample with distribution queries.
 
     Construction sorts a copy of the input; all queries are read-only and
-    safe to call concurrently. raw_moment reads a lazily built tuple of
-    extended-precision power sums, which a query for a higher order
-    rebuilds from the sample up to that order; moment_l1_sum runs its own
-    float64 ladder and builds none of it, and neither does construction.
-    A concurrent query at worst builds the tuple twice.
+    safe to call concurrently. raw_moment and moment_l1_sum read one
+    lazily built float64 ladder of powers, kept between calls and extended
+    block by block up to the highest order asked for; construction and the
+    other queries build none of it. A concurrent query at worst builds the
+    ladder twice.
     """
 
     def __init__(self, sample):
@@ -123,8 +125,8 @@ class EmpiricalDistribution:
             raise ValueError("sample must be finite")
         self._sample = arr
         self._sample.flags.writeable = False
-        # power sums for orders 0..K, a tuple of extended-precision scalars
-        self._sums = ()
+        # (exponent, u**32, last block of powers, means per block), or None
+        self._ladder = None
 
     @property
     def sample(self) -> np.ndarray:
@@ -173,42 +175,49 @@ class EmpiricalDistribution:
         u = (x - self._sample) / h
         return float(np.exp(-0.5 * u * u).sum() / (self.n * h * math.sqrt(2.0 * math.pi)))
 
-    def _power_sums(self, order: int) -> tuple:
-        """Power sums for orders 0..K with K >= order: entry k is the mean of
-        the sequential extended-precision product x*x*...*x (k factors).
-
-        Orders 1..order are built in one block from the sample: row k-1 of
-        an (order, N) buffer is row k-2 times the sample, one whole-row
-        multiply per order, and each row's pairwise sum over N gives that
-        order's sum, as the one-order loop would. A query for a higher
-        order than the kept sums hold builds the block again from the
-        start.
+    def _ladder_means(self):
+        """Yield the ladder's exponent e and, block b by block, mean(u**k)
+        for orders k = 32*b + 1 .. 32*b + 32 (see moment_l1_sum), building
+        the blocks on first use. A walk past the kept blocks multiplies into
+        an array of its own and keeps it when it stops: no kept array is
+        written again, so a concurrent query at worst builds them twice.
         """
-        sums = self._sums
-        if len(sums) > order:
-            return sums
-        with np.errstate(over="ignore", invalid="ignore"):
-            buf = np.empty((order, self.n), dtype=np.longdouble)
-            buf[0] = self._sample
-            for r in range(1, order):
-                np.multiply(buf[r - 1], buf[0], out=buf[r])
-            sums = (np.longdouble(1.0), *(np.add.reduce(buf, axis=1) / self.n))
-        self._sums = sums
-        return sums
+        ladder, own = self._ladder, None
+        if ladder is None:
+            exponent = math.frexp(max(-self._sample[0], self._sample[-1]))[1]  # sorted
+            rows = np.empty((LADDER_BLOCK, self.n))
+            rows[0] = np.ldexp(self._sample, -exponent)
+            r = 1
+            while r < LADDER_BLOCK:
+                np.multiply(rows[:r], rows[r - 1], out=rows[r:2 * r])
+                r *= 2
+            own = rows  # not yet kept: later blocks may overwrite it
+            ladder = (exponent, rows[-1].copy(), rows, (np.add.reduce(rows, axis=1) / self.n,))
+        exponent, u_block, rows, means = ladder
+        try:
+            yield from ((exponent, block) for block in means)
+            while True:
+                own = rows * u_block if own is None else np.multiply(own, u_block, out=own)
+                means += (np.add.reduce(own, axis=1) / self.n,)
+                yield exponent, means[-1]
+        finally:
+            if own is not None:
+                self._ladder = (exponent, u_block, own, means)
 
     def raw_moment(self, k: int) -> float:
-        """k-th raw moment (1/N) * sum(sample**k), read off the power sums.
+        """k-th raw moment (1/N) * sum(sample**k), read off the ladder that
+        moment_l1_sum sums: ldexp(mean(u**k), e*k).
 
-        The powers are the sequential extended-precision products x*x*...*x,
-        kept between calls, so asking for several orders computes each power
-        once; asking for the highest first builds them in one block.
+        Raises SaturationError where that value leaves the float64 range.
         """
         if k < 1:
             raise ValueError("moment order k must be >= 1")
-        value = self._power_sums(k)[k]
-        if not np.isfinite(value):
-            raise SaturationError(f"moment of order {k} saturated extended precision")
-        return float(value)
+        block, row = divmod(k - 1, LADDER_BLOCK)
+        exponent, means = next(itertools.islice(self._ladder_means(), block, None))
+        try:
+            return math.ldexp(float(means[row]), exponent * k)
+        except OverflowError:
+            raise SaturationError(f"moment of order {k} leaves the float64 range") from None
 
     def moment_l1_sum(self, n_terms: int) -> MomentSum:
         """Sum of |raw moments| for orders 1..n_terms with saturation guard.
@@ -233,19 +242,17 @@ class EmpiricalDistribution:
         the sum. Rounding is monotone, so no later term could have changed
         it either, and the result equals the full sum.
 
-        The powers are computed LADDER_BLOCK (32) orders at a time, one row
-        per order: the first block in five doubling multiplies, each later
-        one in a single multiply by u**32. Each block's means, running sums
-        and stop rule take whole-array calls, so Python loops once per
-        block. None of this reads the extended-precision power sums of
-        raw_moment.
+        The powers are built LADDER_BLOCK (32) orders at a time, one row
+        per order, and kept for raw_moment, which reads the same means: the
+        first block in five doubling multiplies, each later one in a single
+        multiply by u**32, each block's means in one pairwise sum per row.
+        A walk that stops early builds no later block. Each block's terms,
+        running sums and stop rule take whole-array calls, so Python loops
+        once per block.
         """
         if n_terms < 1:
             raise ValueError("n_terms must be >= 1")
         amax = max(-self._sample[0], self._sample[-1])  # the sample is sorted
-        exponent = math.frexp(amax)[1]
-        u = np.ldexp(self._sample, -exponent)
-        shifts = exponent * np.arange(1, n_terms + 1)
         if amax < 1:
             # tails[k-1] = 2 * amax**(k+1) / (1 - amax), the bound after term
             # k, as the sequential products tail *= amax; the factor 2
@@ -254,24 +261,12 @@ class EmpiricalDistribution:
             tails[0] *= 2 * amax / (1 - amax)
             np.multiply.accumulate(tails, out=tails)
         total = 0.0
-        buf = np.empty((min(LADDER_BLOCK, n_terms), self.n))
         with np.errstate(over="ignore"):
-            for first in range(0, n_terms, LADDER_BLOCK):
+            blocks = zip(range(0, n_terms, LADDER_BLOCK), self._ladder_means())
+            for first, (exponent, means) in blocks:
                 rows = min(LADDER_BLOCK, n_terms - first)
-                if first == 0:
-                    # doubling: rows r..2r-1 (powers r+1..2r) are rows 0..r-1 times u**r
-                    buf[0] = u
-                    r = 1
-                    while r < rows:
-                        top = min(2 * r, rows)
-                        np.multiply(buf[:top - r], buf[r - 1], out=buf[r:top])
-                        r = top
-                    if rows < n_terms:
-                        u_block = buf[-1].copy()  # u**LADDER_BLOCK
-                else:  # the previous block was full: its rows times u**LADDER_BLOCK
-                    np.multiply(buf[:rows], u_block, out=buf[:rows])
-                sums = np.add.reduce(buf[:rows], axis=1) / self.n
-                terms = np.abs(np.ldexp(sums, shifts[first:first + rows]))
+                orders = np.arange(first + 1, first + rows + 1)
+                terms = np.abs(np.ldexp(means[:rows], exponent * orders))
                 terms[0] += total
                 totals = np.add.accumulate(terms, out=terms)  # the running sums, in order
                 if amax < 1:

@@ -467,7 +467,7 @@ class DiagnosticsReport:
 
 
 def _moments(dist, resid, i, res):
-    for order in reversed(MOMENT_ORDERS):  # the highest first builds the power sums in one block
+    for order in MOMENT_ORDERS:  # all six read the ladder's first block, built once
         try:
             res[f"moment_{order}"][i] = dist.raw_moment(order)
         except SaturationError:
@@ -739,5 +739,5 @@ def stddev_surface(data, p_grid, s_grid, config, workers: int = 1) -> SurfaceRes
             errors[idx] = str(report)
         else:
             final = report.per_repeat["stddev"][:, -1]
-            mean[idx], std[idx] = float(np.mean(final)), float(np.std(final))
+            mean[idx], std[idx] = float(np.mean(final)), spread(final)
     return SurfaceResult(p_grid, s_grid, mean, std, errors)

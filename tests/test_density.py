@@ -1,6 +1,9 @@
 """Empirical distribution queries: frozen oracles and properties."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,6 +158,12 @@ def test_raw_moment_saturation():
         d.raw_moment(30)
 
 
+def test_raw_moment_saturates_exactly_at_the_float64_edge():
+    assert EmpiricalDistribution([2.0**511] * 2).raw_moment(2) == 2.0**1022
+    with pytest.raises(SaturationError):
+        EmpiricalDistribution([2.0**512] * 2).raw_moment(2)  # 2**1024
+
+
 def test_moment_l1_sum_geometric_oracle():
     # constant sample c=0.5: k-th abs moment is 0.5^k, so the 300-term sum
     # is a geometric series: 0.5 * (1 - 0.5^300) / (1 - 0.5) -> 1.0
@@ -269,7 +278,7 @@ def test_moment_l1_sum_matches_the_plain_loop(sample):
 @given(_ladder_samples)
 @settings(max_examples=150, deadline=None)
 def test_moment_l1_is_at_least_the_sum_of_the_first_six_raw_moments(sample):
-    """The benchmark's moment_l1_bound check, across the two precisions."""
+    """The benchmark's moment_l1_bound check."""
     d = EmpiricalDistribution(sample)
     got = d.moment_l1_sum(300)
     assume(got.truncated_at is None or got.truncated_at > 6)
@@ -277,15 +286,37 @@ def test_moment_l1_is_at_least_the_sum_of_the_first_six_raw_moments(sample):
     assert got.value >= (1.0 - 1e-12) * head
 
 
-def _sequential_mean(sample, k):
-    """(1/N) * the pairwise sum of the sequential extended-precision
-    product x*x*...*x (k factors)."""
-    base = np.asarray(sample, dtype=np.longdouble)
-    powers = base.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k - 1):
-            powers = powers * base
-        return np.add.reduce(powers) / base.size
+@given(_ladder_samples)
+@settings(max_examples=150, deadline=None)
+@example(sample=[1.614, -1.426, -1.381])
+def test_moment_l1_sums_the_raw_moments_it_shares_a_ladder_with(sample):
+    """Where max|x| >= 1 (no early stop) and nothing is truncated, the
+    six-term sum is the in-order sum of |raw_moment(k)|, bit for bit."""
+    d = EmpiricalDistribution(sample)
+    got = d.moment_l1_sum(6)
+    assume(max(-d.sample[0], d.sample[-1]) >= 1 and got.truncated_at is None)
+    total = 0.0
+    for k in range(1, 7):
+        total += abs(d.raw_moment(k))
+    assert _bits(got.value) == _bits(total)
+
+
+def _split(k):
+    """The r of the ladder's power rule u**k = u**(k-r) * u**r: the largest
+    power of two below k for k <= 32, and 32 above."""
+    return 1 << ((k - 1).bit_length() - 1) if k <= 32 else 32
+
+
+def _ladder_moment(sample, k):
+    """raw_moment as its docstring states it, for one order of a sorted
+    sample: ldexp(mean(u**k), e*k), with u = x * 2**-e and u**k by the
+    power rule of _moment_l1_sum_one_order."""
+    exponent = math.frexp(max(-sample[0], sample[-1]))[1]
+    powers = [None, np.ldexp(sample, -exponent)]  # powers[j] is u**j
+    for j in range(2, k + 1):
+        powers.append(powers[j - _split(j)] * powers[_split(j)])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.add.reduce(powers[k]) / sample.size, exponent * k))
 
 
 def _moment_l1_sum_one_order(sample, n_terms):
@@ -302,8 +333,7 @@ def _moment_l1_sum_one_order(sample, n_terms):
     with np.errstate(over="ignore"):
         for k in range(1, n_terms + 1):
             if k > 1:
-                r = 1 << ((k - 1).bit_length() - 1) if k <= 32 else 32
-                powers.append(powers[k - r] * powers[r])
+                powers.append(powers[k - _split(k)] * powers[_split(k)])
             new = total + abs(float(np.ldexp(np.add.reduce(powers[k]) / u.size, exponent * k)))
             if not math.isfinite(new):
                 return MomentSum(total, k)
@@ -320,36 +350,59 @@ def _bits(value):
 
 @given(_ladder_samples, st.integers(1, 70))
 @settings(max_examples=150, deadline=None)
-# samples where one powl per value rounds the moment to another float64
-@example(sample=[1.614, -1.426, -1.381], k=5)
-@example(sample=[0.276, 0.161, -0.486], k=6)
-def test_raw_moment_is_the_mean_of_the_sequential_product(sample, k):
+# x**3 leaves the float64 range, but the mean of the cubes does not
+@example(sample=[1e103] + [0.0] * 99, k=3)
+def test_raw_moment_is_the_mean_of_the_block_product(sample, k):
     d = EmpiricalDistribution(sample)
-    want = _sequential_mean(d.sample, k)
-    if np.isfinite(want):
+    want = _ladder_moment(d.sample, k)
+    if math.isfinite(want):
         assert _bits(d.raw_moment(k)) == _bits(want)
     else:
         with pytest.raises(SaturationError):
             d.raw_moment(k)
 
 
-# the sequential product moves a moment by at most this many float64 ulps of
-# the absolute moment mean(|x|**k) away from one powl per value; measured
-# worst 0.98 ulp over 3000 Gaussian and t(3) samples at scales 1e-60..1e60,
-# orders 1..40
-POWL_BOUND_ULPS = 2
+def _summation_depth(n):
+    """Most roundings a term passes through in numpy's pairwise sum of n
+    float64 values: n - 1 below 8 values; up to 128, eight running sums
+    of n // 8 values each, a three-level tree over them and the n % 8
+    values left over added one by one; above that, one more level than
+    the deeper of the halves it splits n into (at a multiple of 8)."""
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 - 1 + 3 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_summation_depth(half), _summation_depth(n - half))
+
+
+def _moment_bound(k, n):
+    """Rounding bound of raw_moment, relative to the absolute
+    moment mean(|x|**k). The scaling by 2**-e and the shift back are
+    exact; u**k is a product of k factors with k - 1 roundings, the sum
+    adds _summation_depth(n) more and the division by N one, so the error
+    is at most gamma(k + depth) = m * 2**-53 / (1 - m * 2**-53) of it.
+    Underflow adds at most (2k + depth) * 2**-1075 in the units of u,
+    which is below 2**-900 of that bound for k <= 40 and N <= 60, since
+    the absolute moment of u is at least 2**-k / N; a result below the
+    normal range adds half a subnormal spacing, 2**-1075. Measured worst
+    over 3000 Gaussian and t(3) samples with N <= 60 at scales
+    1e-60..1e60, in units of 2**-52: 3.9 at orders 1..8 and 13.0 at
+    orders 33..40, against the bound's 7..10.5 and 23..26.5 at N = 60;
+    no error passed 0.58 of its bound."""
+    m = Fraction(k + _summation_depth(n), 2**53)
+    return m / (1 - m)
 
 
 @given(st.lists(_unit, min_size=1, max_size=60), st.integers(-60, 60), st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
-def test_raw_moment_stays_within_two_ulps_of_powl(sample, exponent, k):
+def test_raw_moment_stays_within_its_rounding_bound_of_the_exact_mean(sample, exponent, k):
     d = EmpiricalDistribution([x * 10.0**exponent for x in sample])
-    base = d.sample.astype(np.longdouble)
-    with np.errstate(over="ignore", under="ignore"):
-        powl = float((base**k).mean())
-        scale = float((np.abs(base) ** k).mean())
-    assume(math.isfinite(scale) and scale > 0)
-    assert abs(d.raw_moment(k) - powl) <= POWL_BOUND_ULPS * 2.0**-52 * scale
+    exact = sum(Fraction(x) ** k for x in d.sample) / d.n
+    scale = sum(Fraction(abs(x)) ** k for x in d.sample) / d.n
+    assume(0 < scale < 2**1023)  # so the moment stays inside the float64 range
+    tolerance = _moment_bound(k, d.n) * scale + Fraction(1, 2**1075)
+    assert abs(Fraction(d.raw_moment(k)) - exact) <= tolerance
 
 
 _moment_samples = {
@@ -382,7 +435,7 @@ def test_the_ladder_crosses_block_edges(name, n_terms):
     fresh = EmpiricalDistribution(sample)
     assert fresh.moment_l1_sum(n_terms) == want
     primed = EmpiricalDistribution(sample)
-    primed.raw_moment(6)  # the extended-precision power sums already built
+    primed.raw_moment(6)  # the ladder's first block already built
     assert primed.moment_l1_sum(n_terms) == want
     _assert_close_to_the_long_double_loop(want, fresh.sample, n_terms)
 
@@ -392,8 +445,8 @@ def test_the_ladder_crosses_block_edges(name, n_terms):
 def test_raw_moment_extends_a_ladder_that_stopped_before_its_order(name, n_terms):
     d = EmpiricalDistribution(_moment_samples[name])
     d.moment_l1_sum(n_terms)
-    for k in (6, 33, 2):  # order 33 rebuilds the power sums that order 6 built; 2 reads them
-        assert _bits(d.raw_moment(k)) == _bits(_sequential_mean(d.sample, k))
+    for k in (6, 33, 2):  # order 33 extends the ladder by a block; 2 reads the first
+        assert _bits(d.raw_moment(k)) == _bits(_ladder_moment(d.sample, k))
 
 
 def test_sample_is_sorted_and_immutable():
@@ -441,3 +494,23 @@ def test_moment_homogeneity(sample, k, c):
     want = base.raw_moment(k) * c**k
     # cancellation in near-zero odd moments needs the absolute escape hatch
     assert scaled.raw_moment(k) == pytest.approx(want, rel=1e-6, abs=c**k * 1e-9)
+
+
+def test_concurrent_walks_past_the_kept_blocks_keep_the_bits():
+    """Threads that extend the same kept ladder at once each read the
+    values a lone query reads: no walk writes into an array another reads."""
+    sample = np.random.default_rng(8).normal(size=2000) * 3.0
+    want = EmpiricalDistribution(sample).moment_l1_sum(300)
+    for _ in range(5):
+        d = EmpiricalDistribution(sample)
+        d.raw_moment(1)  # the first block kept, and every thread starts from it
+        start = threading.Barrier(4)
+
+        def walk():
+            start.wait()
+            return d.moment_l1_sum(300)
+
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda _: walk(), range(4)))
+        assert got == [want] * 4
+        assert _bits(d.raw_moment(300)) == _bits(_ladder_moment(d.sample, 300))

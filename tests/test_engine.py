@@ -849,25 +849,47 @@ def test_run_many_takes_the_statistics_in_any_order_and_rejects_unknown_names(st
         go(stats=("moments", "kurtosis"))
 
 
-@pytest.mark.parametrize("stats", [(), ("normality_p",), ("moment_l1",)],
-                         ids=["core", "normality_p", "moment_l1"])
+@pytest.mark.parametrize("stats", [(), ("normality_p",)], ids=["core", "normality_p"])
 def test_a_probe_that_reads_no_moment_builds_no_power_sums(monkeypatch, stats):
-    """The autonomy and normality probes pay nothing for the raw moments'
-    extended-precision power sums, and neither does the float64 moment_l1
-    ladder: with their builder patched to raise, these runs still complete."""
+    """The autonomy and normality probes pay nothing for the moment ladder's
+    power sums: with its builder patched to raise, these runs still complete."""
     data = generate_linear(120, 4, noise_variance=1.0, seed=16)
     config = cfg(total_steps=60, adherence_s=1.5, repeats=2, probe_every=20)
     want = run(data, config, kappa_list=[0.1], stats=stats)
 
-    def refuse(self, order):
-        raise AssertionError("power sums built")
+    def refuse(self):
+        raise AssertionError("ladder built")
 
-    monkeypatch.setattr(EmpiricalDistribution, "_power_sums", refuse)
+    monkeypatch.setattr(EmpiricalDistribution, "_ladder_means", refuse)
     got = run(data, config, kappa_list=[0.1], stats=stats)
     for name, matrix in want.per_repeat.items():
         assert np.array_equal(got.per_repeat[name], matrix, equal_nan=True), name
-    with pytest.raises(AssertionError, match="power sums built"):
-        run(data, config, kappa_list=[0.1], stats=("moments",))
+    for other in ("moments", "moment_l1"):
+        with pytest.raises(AssertionError, match="ladder built"):
+            run(data, config, kappa_list=[0.1], stats=(other,))
+
+
+@pytest.mark.parametrize("stats", [("moments", "moment_l1"), ("moment_l1", "moments")],
+                         ids=["moments_first", "moment_l1_first"])
+def test_a_probe_that_reads_the_moments_and_moment_l1_builds_the_first_block_once(
+        monkeypatch, stats):
+    data = generate_linear(120, 4, noise_variance=1.0, seed=16)
+    config = cfg(total_steps=60, adherence_s=1.5, repeats=2, probe_every=20)
+    want = run(data, config, kappa_list=[0.1], stats=stats)
+    walks = {"built the first block": 0, "read it kept": 0}
+    ladder_means = EmpiricalDistribution._ladder_means
+
+    def counted(self):
+        walks["built the first block" if self._ladder is None else "read it kept"] += 1
+        return ladder_means(self)
+
+    monkeypatch.setattr(EmpiricalDistribution, "_ladder_means", counted)
+    got = run(data, config, kappa_list=[0.1], stats=stats)
+    probes = config.repeats * len(got.probe_steps)
+    # raw_moment walks the ladder once per order and moment_l1_sum once
+    assert walks == {"built the first block": probes, "read it kept": 6 * probes}
+    for name, matrix in want.per_repeat.items():
+        assert np.array_equal(got.per_repeat[name], matrix, equal_nan=True), name
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
@@ -1060,6 +1082,26 @@ def test_scaling_the_targets_by_a_power_of_two_scales_the_surface_exactly(model,
         assert _same_bits(scaled.mean, base.mean * c), k
         assert _same_bits(scaled.std, base.std * c), k
         assert scaled.errors == base.errors == {}
+
+
+def test_the_surface_std_stays_finite_where_the_squared_deviations_leave_the_range(
+        monkeypatch):
+    config = cfg(total_steps=40, probe_every=40)
+    grids = ((0.5, 1.0), (0.0, 3.0))
+    base = engine.stddev_surface(SCALE_DATA, *grids, config)
+    run_many = engine.run_many
+
+    def huge_first_cell(*args, **kwargs):
+        reports = run_many(*args, **kwargs)
+        reports[0].per_repeat["stddev"][:, -1] = [1e160, 3e160]  # np.std of these is inf
+        return reports
+
+    monkeypatch.setattr(engine, "run_many", huge_first_cell)
+    surface = engine.stddev_surface(SCALE_DATA, *grids, config)
+    assert surface.mean[0, 0] == 2e160
+    assert surface.std[0, 0] == 1e160
+    surface.mean[0, 0], surface.std[0, 0] = base.mean[0, 0], base.std[0, 0]
+    assert _same_bits(surface.mean, base.mean) and _same_bits(surface.std, base.std)
 
 
 # -- the numpy ridge against scipy's ------------------------------------------

@@ -147,6 +147,17 @@ def test_the_package_imports_no_scipy_and_depends_on_numpy_alone():
     assert [re.match(r"[\w.-]+", dep).group() for dep in _project()["dependencies"]] == ["numpy"]
 
 
+def test_the_package_names_no_extended_precision_type():
+    """Every statistic computes in float64, so its bits do not depend on the
+    platform's long double (80 bits on x86-64, 128 on aarch64, 64 on
+    macOS and Windows)."""
+    found = [f"{path.name}:{lineno}: {match}"
+             for path in sorted((ROOT / "src" / "loopsim").glob("*.py"))
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             for match in re.findall(r"longdouble|float128|float96", line)]
+    assert found == []
+
+
 def _documented_commands() -> set[tuple[str, str]]:
     """Every `loopsim <word>` command line in README's code blocks and in the
     demo docstrings, as (file, word)."""
