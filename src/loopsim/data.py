@@ -9,6 +9,7 @@ write_csv and format_float write every CSV table of the package.
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -179,8 +180,11 @@ def read_dataset(csv_path: str | Path) -> Dataset:
     """Load a dataset written by :func:`write_dataset` (sidecar required)."""
     csv_path = Path(csv_path)
     # opened here, so that a missing file's error names it
-    with csv_path.open(encoding="utf-8") as rows:
+    with csv_path.open(encoding="utf-8") as rows, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         raw = np.loadtxt(rows, delimiter=",", skiprows=1, ndmin=2)
+    if not raw.size:
+        raise ValueError("the CSV has no data rows")
     sidecar_path = csv_path.with_suffix(".json")
     meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
     if not isinstance(meta, dict):

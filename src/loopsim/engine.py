@@ -24,9 +24,11 @@ differ only in usage_p, adherence_s, seed and repeats, and
 repeat) pair. The lanes of one run_many call retrain and probe on the same
 steps, the events; between two events the model is fixed, so each lane
 steps on its own up to the next event. SGD lanes share one batched fit per
-retrain.
+retrain. The default interval half-widths are fractions of the residual
+spread after the first fit of lane 0, so no fit runs twice.
 """
 
+import contextlib
 import dataclasses
 import math
 import warnings
@@ -242,11 +244,6 @@ def _attempt(fit, *args):
         return fit(*args)
     except Exception as exc:
         return exc
-
-
-def _name_failure(exc: Exception, repeat: int, t: int) -> None:
-    """Prefix exc's message with the repeat and the step that it ended."""
-    exc.args = (f"repeat {repeat}, step {t}: {exc}",)
 
 
 def _refit(states: list, config: LoopConfig) -> list:
@@ -514,19 +511,29 @@ def _observe(state, i, res, masses, stats):
         OPTIONAL_STATS[name][1](dist, resid, i, res)
 
 
-def _run_lanes(data, lanes, probe_steps, kappas, stats):
+def _start_lanes(data, lanes):
+    """Step 0 of a task's lanes, each a (config, repeat, child seed) triple:
+    their states, started by init_state with their own rngs, and per lane
+    None or the exception that ended its first fit, made by one _refit.
+    run_many has checked the rows, so only an allocation can fail in
+    init_state, and that ends the call."""
+    states = [init_state(data, config, np.random.default_rng(child), retrain=False)
+              for config, _, child in lanes]
+    return states, _refit(states, lanes[0][0])
+
+
+def _run_lanes(data, lanes, probe_steps, kappas, stats, started=None):
     """Lanes from event to event: per lane its per-probe statistics and step
     record, or the exception that ended it.
 
-    Each lane is a (config, repeat, child seed) triple of one lockstep
-    group, so all lanes retrain and probe on the same steps: the events.
-    Each lane starts in init_state with its own rng; run_many has checked
-    the rows, so only an allocation can fail there, and that ends the call.
-    At each event every live lane first steps up to it on its own, since
-    lanes share nothing between refits; then _refit retrains the live lanes
-    together if the event is a retrain step, and each live lane is probed
-    if it is a probe step. A lane that raises leaves the group, and its
-    exception's message is prefixed with its repeat and the step it ended.
+    The lanes start in _start_lanes, unless started holds what it returned
+    for them already. All lanes retrain and probe on the same steps: the
+    events. At each event every live lane first steps up to it on its own,
+    since lanes share nothing between refits; then _refit retrains the live
+    lanes together if the event is a retrain step, and each live lane is
+    probed if it is a probe step. A lane that raises leaves the group, and
+    its exception's message is prefixed with its repeat and the step it
+    ended.
     """
     schedule = lanes[0][0]
     masses = [(MASS_COLUMN.format(kap), kap) for kap in kappas]
@@ -535,15 +542,18 @@ def _run_lanes(data, lanes, probe_steps, kappas, stats):
     res = [{name: np.full(len(probe_steps), np.nan) for name in names} for _ in lanes]
     lookup = {t: i for i, t in enumerate(probe_steps)}
     out = [None] * len(lanes)
-    live = {lane: init_state(data, config, np.random.default_rng(child), retrain=False)
-            for lane, (config, _, child) in enumerate(lanes)}
+    states, errors = started or _start_lanes(data, lanes)
+    live = dict(enumerate(states))
 
     def end(lane, exc, t):
-        _name_failure(exc, lanes[lane][1], t)
+        exc.args = (f"repeat {lanes[lane][1]}, step {t}: {exc}",)
         out[lane] = exc
         del live[lane]
 
-    retrains = range(0, schedule.total_steps + 1, schedule.retrain_period)
+    for lane, error in enumerate(errors):
+        if error is not None:
+            end(lane, error, 0)
+    retrains = range(schedule.retrain_period, schedule.total_steps + 1, schedule.retrain_period)
     for t in sorted(set(retrains).union(probe_steps)):
         for lane, state in list(live.items()):
             try:
@@ -551,7 +561,7 @@ def _run_lanes(data, lanes, probe_steps, kappas, stats):
                     step(state, lanes[lane][0], retrain=False)
             except Exception as exc:
                 end(lane, exc, state.step_t + 1)
-        if t % schedule.retrain_period == 0:
+        if t in retrains:
             for lane, error in zip(list(live), _refit(list(live.values()), schedule)):
                 if error is not None:
                     end(lane, error, t)
@@ -566,29 +576,6 @@ def _run_lanes(data, lanes, probe_steps, kappas, stats):
     return out
 
 
-def derive_kappas(data: Dataset, config: LoopConfig) -> list[float]:
-    """Default probe half-widths: fractions of the initial residual spread.
-
-    Uses a throwaway initialization with the first repeat's child seed, so
-    the values are deterministic for a given (data, config) pair; a failed
-    fit is repeat 0's own first fit, and its message says so. Falls back
-    to the bare fractions if the initial fit is exact. The spread is
-    density.spread, so residuals whose squares leave the float range still
-    give kappas on their own scale.
-    """
-    child = np.random.SeedSequence(config.seed).spawn(1)[0]
-    state = init_state(data, config, rng=np.random.default_rng(child), retrain=False)
-    try:
-        _retrain(state, config)
-    except Exception as exc:
-        _name_failure(exc, 0, 0)
-        raise
-    sd0 = spread(state.residuals())
-    if sd0 > 0 and math.isfinite(sd0):
-        return [f * sd0 for f in DEFAULT_KAPPA_FRACTIONS]
-    return list(DEFAULT_KAPPA_FRACTIONS)
-
-
 def run(data: Dataset, config: LoopConfig, probes=None, kappa_list=None,
         **options) -> DiagnosticsReport:
     """Execute config.repeats independent runs and aggregate probe stats.
@@ -596,12 +583,9 @@ def run(data: Dataset, config: LoopConfig, probes=None, kappa_list=None,
     Repeat seeds are spawned from config.seed, so results are reproducible
     and independent of workers. probes=None uses the default schedule for
     the setting; an explicit sequence is used as-is (step 0 and the final
-    step are always included). kappa_list=None derives interval
-    half-widths from the initial residual spread. The other options are
-    those of run_many. A failed repeat raises.
+    step are always included). kappa_list (None by default) and the other
+    options are those of run_many. A failed repeat raises.
     """
-    if kappa_list is None:
-        kappa_list = derive_kappas(data, config)
     report = run_many(data, [config], probes, kappa_list, **options)[0]
     if isinstance(report, Exception):
         raise report
@@ -610,10 +594,10 @@ def run(data: Dataset, config: LoopConfig, probes=None, kappa_list=None,
 
 def check_kappas(kappa_list) -> list[float]:
     """The interval half-widths as a list; ValueError unless each is
-    positive and names its own mass@<kappa> trace column."""
+    positive and finite and names its own mass@<kappa> trace column."""
     kappas = list(kappa_list)
-    if not all(k > 0 for k in kappas):
-        raise ValueError("interval half-widths must be positive")
+    if not all(0 < k < math.inf for k in kappas):
+        raise ValueError("interval half-widths must be positive and finite")
     columns = [MASS_COLUMN.format(kap) for kap in kappas]
     shared = sorted({name for name in columns if columns.count(name) > 1})
     if shared:
@@ -644,11 +628,15 @@ def run_many(
     stats, by default all of them. ValueError, before any lane runs, on
     configs of two groups, an unknown stats name, kappas that check_kappas
     refuses, probes that resolve_probes refuses, and a dataset too small
-    for the probed loop. Returns one DiagnosticsReport per config, in
-    order, with its repeats' step records, or the exception of its first
-    failed repeat.
+    for the probed loop. kappa_list=None takes DEFAULT_KAPPA_FRACTIONS
+    times the spread of lane 0's step-0 residuals, or the bare fractions
+    when that spread is 0 or not finite or lane 0's first fit failed: the
+    parent starts its own lanes, which hold lane 0, and only then submits
+    the pooled tasks with those kappas. Returns one DiagnosticsReport per
+    config, in order, with its repeats' step records, or the exception of
+    its first failed repeat.
     """
-    kappas = check_kappas(kappa_list)
+    kappas = None if kappa_list is None else check_kappas(kappa_list)
     requested = set(stats)
     unknown = sorted(requested - set(OPTIONAL_STATS))
     if unknown:
@@ -668,18 +656,25 @@ def run_many(
     lanes = [(config, repeat, child) for config in configs for repeat, child
              in enumerate(np.random.SeedSequence(config.seed).spawn(config.repeats))]
     n = max(1, min(workers, len(lanes)))
-    tasks = [(data, lanes[k * len(lanes) // n : (k + 1) * len(lanes) // n], probe_steps, kappas,
-              stats) for k in range(n)]
+    shares = [lanes[k * len(lanes) // n : (k + 1) * len(lanes) // n] for k in range(n)]
+    pool = contextlib.nullcontext()
     if n > 1:
         from concurrent import futures
 
-        with futures.ProcessPoolExecutor(max_workers=n - 1) as pool:
-            pending = [pool.submit(_run_lanes, *task) for task in tasks[1:]]
-            outcomes = _run_lanes(*tasks[0])
-            for future in pending:
-                outcomes += future.result()
-    else:
-        outcomes = _run_lanes(*tasks[0])
+        pool = futures.ProcessPoolExecutor(max_workers=n - 1)
+    with pool:
+        started = None
+        if kappas is None:
+            started = _start_lanes(data, shares[0])
+            (state, *_), (error, *_) = started
+            sd0 = math.nan if error is not None else spread(state.residuals())
+            scale = sd0 if 0 < sd0 < math.inf else 1.0
+            kappas = check_kappas([f * scale for f in DEFAULT_KAPPA_FRACTIONS])
+        pending = [pool.submit(_run_lanes, data, share, probe_steps, kappas, stats)
+                   for share in shares[1:]]
+        outcomes = _run_lanes(data, shares[0], probe_steps, kappas, stats, started)
+        for future in pending:
+            outcomes += future.result()
     outcomes = iter(outcomes)
     reports = []
     for config in configs:

@@ -482,7 +482,7 @@ def _run_trace_experiment(config: ExperimentConfig, out_dir: Path, data: Dataset
         data,
         loop_config,
         probes=config.probes,
-        kappa_list=list(config.kappas) if config.kappas is not None else None,
+        kappa_list=config.kappas,
         stats=EXPERIMENT_STATS[config.experiment],
         workers=workers,
     )

@@ -474,7 +474,8 @@ def test_run_many_sgd_lanes_equal_a_hand_written_loop(workers):
 @st.composite
 def _lockstep_groups(draw):
     """(data, configs, probes, kappas, stats): a small lockstep group of up
-    to three configs, on either setting and every model."""
+    to three configs, on either setting and every model; kappas None asks
+    for the default ones."""
     setting = draw(st.sampled_from([SETTING_SAMPLING, SETTING_SLIDING]))
     model = draw(st.sampled_from(["ridge_exact", "ridge_regularized", "sgd"]))
     m = draw(st.integers(70, 300) if setting == SETTING_SLIDING else st.integers(20, 300))
@@ -490,7 +491,8 @@ def _lockstep_groups(draw):
     configs = [dataclasses.replace(base, usage_p=p, adherence_s=s, seed=seed, repeats=repeats)
                for p, s, seed, repeats in cells]
     probes = draw(st.none() | st.lists(st.integers(0, steps), max_size=6))
-    kappas = draw(st.lists(st.sampled_from([0.1, 0.5, 2.0]), unique=True, max_size=2))
+    kappas = draw(st.none()
+                  | st.lists(st.sampled_from([0.1, 0.5, 2.0]), unique=True, max_size=2))
     stats = tuple(draw(st.sets(st.sampled_from(engine.ALL_STATS))))
     return data, configs, probes, kappas, stats
 
@@ -501,6 +503,18 @@ def test_run_many_equals_the_reference_loop_bit_for_bit(group, workers):
     data, configs, probes, kappas, stats = group
     reports = run_many(data, configs, probes, kappas, stats=stats, workers=workers)
     probe_steps = engine.resolve_probes(configs[0], probes)
+    if kappas is None:
+        # fractions of the step-0 spread of configs[0]'s repeat 0; that state
+        # does not depend on total_steps, so one step stands for the repeat
+        first = np.random.SeedSequence(configs[0].seed).spawn(1)[0]
+        try:
+            columns, _ = reference_repeat(data, dataclasses.replace(configs[0], total_steps=1),
+                                          first, [0], [], ())
+            sd0 = columns["stddev"][0]
+        except Exception:
+            sd0 = math.nan
+        scale = sd0 if 0 < sd0 < math.inf else 1.0
+        kappas = [f * scale for f in engine.DEFAULT_KAPPA_FRACTIONS]
     for config, report in zip(configs, reports):
         children = np.random.SeedSequence(config.seed).spawn(config.repeats)
         expected = []
@@ -514,6 +528,7 @@ def test_run_many_equals_the_reference_loop_bit_for_bit(group, workers):
                 assert str(report).endswith(f": {exc}")
                 break
         else:
+            assert report.kappa_list == kappas
             spikes = sum(columns.pop("spike") for columns, _ in expected)
             assert report.spike_counts.tobytes() == spikes.tobytes()
             for repeat, (columns, record) in enumerate(expected):
@@ -894,13 +909,13 @@ def test_a_probe_that_reads_the_moments_and_moment_l1_builds_the_first_block_onc
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 def test_derive_kappas_keep_the_scale_of_residuals_whose_squares_leave_the_float_range(scale):
-    # np.std of these residuals overflows (1e160) or underflows (1e-170)
+    # np.std of these residuals overflows (1e160) or underflows (1e-170);
+    # usage_p 0 keeps the targets, whose holdout MSE overflows at 1e160
     data = generate_linear(300, 4, noise_variance=1.0, seed=0)
-    config = cfg(total_steps=10, repeats=1)
-    base = engine.derive_kappas(data, config)
+    config = cfg(total_steps=10, repeats=1, usage_p=0.0)
+    base = run(data, config).kappa_list
     with np.errstate(over="ignore", under="ignore"):
-        kappas = engine.derive_kappas(dataclasses.replace(data, targets=data.targets * scale),
-                                      config)
+        kappas = run(dataclasses.replace(data, targets=data.targets * scale), config).kappa_list
     assert np.allclose(np.array(kappas) / scale, base, rtol=1e-9, atol=0.0)
 
 
@@ -912,12 +927,34 @@ def test_an_exact_first_fit_takes_the_bare_kappa_fractions_and_probes_spikes(set
     config = cfg(setting=setting, total_steps=40, adherence_s=1.0, probe_every=10, repeats=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert engine.derive_kappas(data, config) == [0.05, 0.1, 0.25, 0.5]
         report = run(data, config)
     assert report.kappa_list == [0.05, 0.1, 0.25, 0.5]
     assert report.probe_steps == [0, 10, 20, 30, 40]
     assert np.array_equal(report.spike_counts, np.full(5, config.repeats))
     assert np.array_equal(report.per_repeat["stddev"], np.zeros((config.repeats, 5)))
+
+
+@pytest.mark.parametrize("setting", [SETTING_SAMPLING, SETTING_SLIDING])
+def test_run_starts_each_repeat_once_and_fits_it_once_per_retrain(setting, monkeypatch):
+    # the default kappas read repeat 0's own first fit, not a second one
+    data = generate_linear(200, 3, noise_variance=1.0, seed=4)
+    config = cfg(setting=setting, total_steps=50, retrain_period=20, repeats=3)
+    calls = dict.fromkeys(("init_state", "fit_ridge"), 0)
+
+    def counted(name):
+        real = getattr(engine, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    report = run(data, config, workers=1)
+    assert report.repeats_aggregated == config.repeats
+    per_repeat = config.total_steps // config.retrain_period + 1
+    assert calls == {"init_state": config.repeats, "fit_ridge": config.repeats * per_repeat}
 
 
 # -- loop invariants -------------------------------------------------------

@@ -654,8 +654,8 @@ def test_cli_run_failing_after_its_checks_leaves_config_and_a_failed_manifest(tm
 
 
 def test_cli_run_names_a_failed_kappa_fit_as_the_first_fit_of_repeat_0(tmp_path, capsys):
-    # a constant third feature is singular from the first fit on, which is
-    # the throwaway fit that derives the default kappas
+    # a constant third feature is singular from the first fit on: repeat 0's,
+    # which the default kappas read
     data = generate_linear(200, 3, noise_variance=1.0, seed=2)
     features = data.features.copy()
     features[:, 2] = 4.0
@@ -683,13 +683,16 @@ def test_cli_run_rejects_out_of_range_grid_before_running(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--kappas", "-1", "interval half-widths must be positive"),
-    ("--kappas", "0", "interval half-widths must be positive"),
-    ("--kappas", "nan", "interval half-widths must be positive"),
+    ("--kappas", "-1", "interval half-widths must be positive and finite"),
+    ("--kappas", "0", "interval half-widths must be positive and finite"),
+    ("--kappas", "nan", "interval half-widths must be positive and finite"),
+    ("--kappas", "inf", "interval half-widths must be positive and finite"),
+    ("--kappas", "0.1,1e400", "interval half-widths must be positive and finite"),
     ("--probes", "0,5000", "probe steps [5000] fall outside [0, 100]"),
     ("--kappas", "0.5,0.50000000001",
      "interval half-widths [0.5, 0.50000000001] share the trace columns ['mass@0.5']"),
-], ids=["negative-kappa", "zero-kappa", "nan-kappa", "late-probe", "colliding-kappas"])
+], ids=["negative-kappa", "zero-kappa", "nan-kappa", "infinite-kappa", "overflowing-kappa",
+        "late-probe", "colliding-kappas"])
 def test_cli_run_rejects_bad_kappas_and_probes_before_any_output(tmp_path, capsys, flag,
                                                                  value, message):
     out = tmp_path / "out"
@@ -738,6 +741,23 @@ def test_cli_run_names_a_dataset_with_a_non_finite_cell(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         f"config error: {csv_path}: features are not finite in 1 row(s), the first is row 4\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [80, 0])
+def test_cli_run_refuses_a_dataset_csv_without_data_rows(tmp_path, capsys, rows):
+    csv_path, sidecar_path = write_dataset(generate_linear(80, 3, noise_variance=1.0, seed=2),
+                                           tmp_path / "data.csv")
+    header = csv_path.read_text(encoding="utf-8").splitlines()[0]
+    csv_path.write_text(header + "\n", encoding="utf-8")
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    sidecar_path.write_text(json.dumps({**sidecar, "rows": rows}), encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["run", "--experiment", "density_trace", "--dataset", str(csv_path),
+                     "--steps", "30", "--repeats", "2", "--workers", "1",
+                     "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {csv_path}: the CSV has no data rows\n"
     assert not out.exists()
 
 
