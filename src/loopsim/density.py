@@ -19,7 +19,7 @@ import numpy as np
 # fewest sample points a point-density estimate accepts
 MIN_DENSITY_POINTS = 20
 # orders per block of the moment ladder; a block holds this many float64
-# copies of the sample, and the ladder keeps its last block plus u**32.
+# copies of the sample, and the ladder keeps only its first block.
 # A larger block costs the ladders that stop within the first one more
 # than it saves on the full ones.
 LADDER_BLOCK = 32
@@ -111,10 +111,10 @@ class EmpiricalDistribution:
 
     Construction sorts a copy of the input; all queries are read-only and
     safe to call concurrently. raw_moment and moment_l1_sum read one
-    lazily built float64 ladder of powers, kept between calls and extended
-    block by block up to the highest order asked for; construction and the
-    other queries build none of it. A concurrent query at worst builds the
-    ladder twice.
+    lazily built float64 ladder of powers: its first block is kept between
+    calls and never written, and each walk past it builds the later blocks
+    it needs for itself. Construction and the other queries build none of
+    it. A concurrent query at worst builds the first block twice.
     """
 
     def __init__(self, sample):
@@ -125,7 +125,7 @@ class EmpiricalDistribution:
             raise ValueError("sample must be finite")
         self._sample = arr
         self._sample.flags.writeable = False
-        # (exponent, u**32, last block of powers, means per block), or None
+        # (exponent, the first block u**1..u**32, its means), or None
         self._ladder = None
 
     @property
@@ -175,15 +175,14 @@ class EmpiricalDistribution:
         u = (x - self._sample) / h
         return float(np.exp(-0.5 * u * u).sum() / (self.n * h * math.sqrt(2.0 * math.pi)))
 
-    def _ladder_means(self):
+    def _ladder_means(self, n_terms):
         """Yield the ladder's exponent e and, block b by block, mean(u**k)
-        for orders k = 32*b + 1 .. 32*b + 32 (see moment_l1_sum), building
-        the blocks on first use. A walk past the kept blocks multiplies into
-        an array of its own and keeps it when it stops: no kept array is
-        written again, so a concurrent query at worst builds them twice.
+        for orders k = 32*b + 1 .. min(32*b + 32, n_terms) (see
+        moment_l1_sum). The first block is built whole on first use and
+        kept; a walk past it multiplies into a block of its own, computing
+        only the orders it needs, and drops it when it stops.
         """
-        ladder, own = self._ladder, None
-        if ladder is None:
+        if self._ladder is None:
             exponent = math.frexp(max(-self._sample[0], self._sample[-1]))[1]  # sorted
             rows = np.empty((LADDER_BLOCK, self.n))
             rows[0] = np.ldexp(self._sample, -exponent)
@@ -191,18 +190,14 @@ class EmpiricalDistribution:
             while r < LADDER_BLOCK:
                 np.multiply(rows[:r], rows[r - 1], out=rows[r:2 * r])
                 r *= 2
-            own = rows  # not yet kept: later blocks may overwrite it
-            ladder = (exponent, rows[-1].copy(), rows, (np.add.reduce(rows, axis=1) / self.n,))
-        exponent, u_block, rows, means = ladder
-        try:
-            yield from ((exponent, block) for block in means)
-            while True:
-                own = rows * u_block if own is None else np.multiply(own, u_block, out=own)
-                means += (np.add.reduce(own, axis=1) / self.n,)
-                yield exponent, means[-1]
-        finally:
-            if own is not None:
-                self._ladder = (exponent, u_block, own, means)
+            self._ladder = (exponent, rows, np.add.reduce(rows, axis=1) / self.n)
+        exponent, block, means = self._ladder
+        yield exponent, means[:n_terms]
+        u_32 = block[-1]
+        for start in range(LADDER_BLOCK, n_terms, LADDER_BLOCK):
+            head = block[:n_terms - start]  # the orders this walk still needs
+            block = np.multiply(head, u_32, out=None if start == LADDER_BLOCK else head)
+            yield exponent, np.add.reduce(block, axis=1) / self.n
 
     def raw_moment(self, k: int) -> float:
         """k-th raw moment (1/N) * sum(sample**k), read off the ladder that
@@ -213,7 +208,7 @@ class EmpiricalDistribution:
         if k < 1:
             raise ValueError("moment order k must be >= 1")
         block, row = divmod(k - 1, LADDER_BLOCK)
-        exponent, means = next(itertools.islice(self._ladder_means(), block, None))
+        exponent, means = next(itertools.islice(self._ladder_means(k), block, None))
         try:
             return math.ldexp(float(means[row]), exponent * k)
         except OverflowError:
@@ -243,12 +238,13 @@ class EmpiricalDistribution:
         it either, and the result equals the full sum.
 
         The powers are built LADDER_BLOCK (32) orders at a time, one row
-        per order, and kept for raw_moment, which reads the same means: the
-        first block in five doubling multiplies, each later one in a single
-        multiply by u**32, each block's means in one pairwise sum per row.
-        A walk that stops early builds no later block. Each block's terms,
-        running sums and stop rule take whole-array calls, so Python loops
-        once per block.
+        per order: the first block in five doubling multiplies, kept for
+        raw_moment, which reads the same means; each later one in a single
+        multiply by u**32, into a block of this walk's own that holds only
+        the orders up to n_terms and is dropped when the walk stops. Each
+        block's means take one pairwise sum per row. A walk that stops
+        early builds no later block. Each block's terms, running sums and
+        stop rule take whole-array calls, so Python loops once per block.
         """
         if n_terms < 1:
             raise ValueError("n_terms must be >= 1")
@@ -262,16 +258,15 @@ class EmpiricalDistribution:
             np.multiply.accumulate(tails, out=tails)
         total = 0.0
         with np.errstate(over="ignore"):
-            blocks = zip(range(0, n_terms, LADDER_BLOCK), self._ladder_means())
+            blocks = zip(range(0, n_terms, LADDER_BLOCK), self._ladder_means(n_terms))
             for first, (exponent, means) in blocks:
-                rows = min(LADDER_BLOCK, n_terms - first)
-                orders = np.arange(first + 1, first + rows + 1)
-                terms = np.abs(np.ldexp(means[:rows], exponent * orders))
+                orders = np.arange(first + 1, first + len(means) + 1)
+                terms = np.abs(np.ldexp(means, exponent * orders))
                 terms[0] += total
                 totals = np.add.accumulate(terms, out=terms)  # the running sums, in order
                 if amax < 1:
                     # every term is at most about amax**k < 1: no sum leaves the range
-                    done = totals + tails[first:first + rows] == totals
+                    done = totals + tails[first:first + LADDER_BLOCK] == totals
                     j = int(done.argmax())
                     if done[j]:
                         return MomentSum(float(totals[j]), None)

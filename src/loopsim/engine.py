@@ -99,7 +99,8 @@ class LoopConfig(LoopDefaults):
 
     usage_p is the probability a prediction replaces the true target;
     adherence_s scales the sampling variance around the prediction
-    (targets are drawn from N(prediction, s * holdout MSE)). The model is
+    (targets are drawn from N(prediction, s * holdout MSE), and equal the
+    prediction at s = 0 even where that MSE overflows). The model is
     refit every retrain_period steps on a train_fraction split of the
     active set, with the MSE taken on the trailing holdout_fraction; these
     and the other defaults are LoopDefaults'.
@@ -342,7 +343,8 @@ def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> np.recor
     that predict gives on the one-row matrix, without predict's checks.
     Raises LoopComplete once the loop has taken config.total_steps steps.
     Writes and returns the step's row of state.record: the drawn item, the
-    prediction, the sampled replacement value, and whether it was used.
+    prediction, the sampled replacement value (the prediction itself at
+    adherence_s = 0, even where sigma2 is inf), and whether it was used.
     With retrain=False a scheduled refit is left to the caller.
     """
     if state.step_t >= config.total_steps:
@@ -355,7 +357,8 @@ def step(state: LoopState, config: LoopConfig, retrain: bool = True) -> np.recor
     y_true = float(state.targets[row])
     item = int(state.item_indices[row])
     y_pred = float(state.features[row] @ state.model.weights + state.model.intercept)
-    z = float(rng.normal(y_pred, math.sqrt(config.adherence_s * state.sigma2)))
+    scale = math.sqrt(config.adherence_s * state.sigma2) if config.adherence_s else 0.0
+    z = float(rng.normal(y_pred, scale))
     used = bool(rng.random() < config.usage_p)
     if used:
         state.targets[row] = z
@@ -393,14 +396,14 @@ class DiagnosticsReport:
     "moment_l1", "moment_l1_truncated" and "moment_<k>" where the probes
     computed them. ``mean`` and ``std`` reduce them over repeats, and the
     trace properties are their means (``moment_traces`` is empty when the
-    probes skipped the raw moments). ``step_traces`` is the (repeats x
-    total_steps) recarray of the loop's step records (STEP_RECORD).
+    probes skipped the raw moments). ``spike_counts`` counts the NaN psi
+    values (point-mass residuals) per probe. ``step_traces`` is the
+    (repeats x total_steps) recarray of the loop's step records (STEP_RECORD).
     """
 
     probe_steps: list
     kappa_list: list
     per_repeat: dict
-    spike_counts: np.ndarray
     step_traces: np.recarray
 
     def __post_init__(self):
@@ -452,6 +455,7 @@ class DiagnosticsReport:
         return out
 
     repeats_aggregated = property(lambda self: len(self.per_repeat["psi"]))
+    spike_counts = property(lambda self: np.isnan(self.per_repeat["psi"]).sum(0, dtype=float))
     psi_trace = property(lambda self: self.mean("psi"))
     stddev_trace = property(lambda self: self.mean("stddev"))
     moment_l1_trace = property(lambda self: self.mean("moment_l1"))
@@ -483,7 +487,7 @@ def _normality_p(dist, resid, i, res):
 
 # The statistics a probe computes only when asked for them: name -> (the
 # trace columns it writes, the function that writes them). Every probe
-# writes spike, psi, stddev and the mass@<kappa> columns.
+# writes psi (NaN at a spike), stddev and the mass@<kappa> columns.
 OPTIONAL_STATS = {
     "moments": (tuple(f"moment_{order}" for order in MOMENT_ORDERS), _moments),
     "moment_l1": (("moment_l1", "moment_l1_truncated"), _moment_l1),
@@ -502,7 +506,6 @@ def _observe(state, i, res, masses, stats):
     if dist.ecdf(np.nextafter(lo, -np.inf)) != 0.0 or dist.ecdf(hi) != 1.0:
         raise RuntimeError("probe ECDF failed the normalization check")
     d0 = dist.density_at(0.0)
-    res["spike"][i] = d0 is SPIKE
     res["psi"][i] = np.nan if d0 is SPIKE else float(d0)
     res["stddev"][i] = spread(resid)
     for name, kappa in masses:
@@ -537,7 +540,7 @@ def _run_lanes(data, lanes, probe_steps, kappas, stats, started=None):
     """
     schedule = lanes[0][0]
     masses = [(MASS_COLUMN.format(kap), kap) for kap in kappas]
-    names = ["spike", "psi", "stddev"] + [name for name, _ in masses]
+    names = ["psi", "stddev"] + [name for name, _ in masses]
     names += [column for name in stats for column in OPTIONAL_STATS[name][0]]
     res = [{name: np.full(len(probe_steps), np.nan) for name in names} for _ in lanes]
     lookup = {t: i for i, t in enumerate(probe_steps)}
@@ -684,12 +687,10 @@ def run_many(
             reports.append(failed[0])
             continue
         per_repeat = {name: np.stack([res[name] for res, _ in mine]) for name in mine[0][0]}
-        spikes = per_repeat.pop("spike")
         reports.append(DiagnosticsReport(
             probe_steps=probe_steps,
             kappa_list=kappas,
             per_repeat=per_repeat,
-            spike_counts=np.sum(spikes, axis=0),
             step_traces=np.stack([record for _, record in mine]).view(np.recarray),
         ))
     return reports

@@ -449,6 +449,18 @@ def test_raw_moment_extends_a_ladder_that_stopped_before_its_order(name, n_terms
         assert _bits(d.raw_moment(k)) == _bits(_ladder_moment(d.sample, k))
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_symmetric_sample_whose_even_moments_overflow_sums_only_its_first_moment(seed):
+    """The second moment leaves the float64 range, so the sum stops after
+    the first, whose exact value 0 reads as its rounding noise, about 1e273."""
+    rng = np.random.default_rng(seed)
+    half = (1 + rng.uniform(0, 0.5, 19)) * rng.choice([-1.0, 1.0], 19) * 1e290
+    d = EmpiricalDistribution(np.concatenate([half, -half]))
+    got = d.moment_l1_sum(300)
+    assert math.isfinite(got.value) and got.truncated_at == 2
+    assert _bits(got.value) == _bits(abs(d.raw_moment(1)))
+
+
 def test_sample_is_sorted_and_immutable():
     d = EmpiricalDistribution([3.0, 1.0, 2.0])
     assert np.array_equal(d.sample, [1.0, 2.0, 3.0])

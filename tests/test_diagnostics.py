@@ -385,7 +385,7 @@ def _report(values):
     matrix = np.array(values, dtype=float)
     return DiagnosticsReport(
         probe_steps=list(range(matrix.shape[1])), kappa_list=[],
-        per_repeat={"moment_l1": matrix}, spike_counts=np.zeros(matrix.shape[1]),
+        per_repeat={"moment_l1": matrix},
         step_traces=np.zeros((len(matrix), 0), engine.STEP_RECORD).view(np.recarray),
     )
 
@@ -433,3 +433,14 @@ def test_report_std_is_the_plain_nanstd_where_finite_and_nonzero(values):
     plain = np.nanstd(rep.per_repeat["moment_l1"], axis=0)[0]
     assume(plain > 0 or min(values) == max(values))
     assert rep.std("moment_l1")[0] == plain
+
+
+def test_report_spike_counts_are_the_float_counts_of_nan_psi_per_probe():
+    psi = np.array([[np.nan, 0.2, np.nan], [np.nan, 0.3, 0.1]])
+    rep = DiagnosticsReport(
+        probe_steps=[0, 1, 2], kappa_list=[], per_repeat={"psi": psi},
+        step_traces=np.zeros((2, 0), engine.STEP_RECORD).view(np.recarray),
+    )
+    # float64, so summary.json writes 0.0 where no repeat spiked
+    assert rep.spike_counts.dtype == np.float64
+    assert rep.spike_counts.tolist() == [2.0, 0.0, 1.0]

@@ -773,7 +773,7 @@ def _probe(resid) -> dict:
     """One _observe call with every statistic on a fixed residual sample: its
     statistics by name."""
     masses = [("mass@1", 1.0)]
-    names = ["spike", "psi", "stddev", "mass@1"]
+    names = ["psi", "stddev", "mass@1"]
     names += [column for columns, _ in engine.OPTIONAL_STATS.values() for column in columns]
     res = {name: np.full(1, np.nan) for name in names}
     state = types.SimpleNamespace(residuals=lambda: resid)
@@ -805,7 +805,7 @@ def test_probe_does_not_raise_on_finite_samples_at_float_extremes(seed, n, expon
     assume(np.all(np.isfinite(resid)))
     stats = _probe(resid)
     assert math.isfinite(stats["stddev"]) and stats["stddev"] > 0
-    assert not stats["spike"]
+    assert not math.isnan(stats["psi"])  # no spike
     p = stats["normality_p"]
     assert math.isnan(p) or 0.0 <= p <= 1.0
 
@@ -872,7 +872,7 @@ def test_a_probe_that_reads_no_moment_builds_no_power_sums(monkeypatch, stats):
     config = cfg(total_steps=60, adherence_s=1.5, repeats=2, probe_every=20)
     want = run(data, config, kappa_list=[0.1], stats=stats)
 
-    def refuse(self):
+    def refuse(self, n_terms):
         raise AssertionError("ladder built")
 
     monkeypatch.setattr(EmpiricalDistribution, "_ladder_means", refuse)
@@ -894,9 +894,9 @@ def test_a_probe_that_reads_the_moments_and_moment_l1_builds_the_first_block_onc
     walks = {"built the first block": 0, "read it kept": 0}
     ladder_means = EmpiricalDistribution._ladder_means
 
-    def counted(self):
+    def counted(self, n_terms):
         walks["built the first block" if self._ladder is None else "read it kept"] += 1
-        return ladder_means(self)
+        return ladder_means(self, n_terms)
 
     monkeypatch.setattr(EmpiricalDistribution, "_ladder_means", counted)
     got = run(data, config, kappa_list=[0.1], stats=stats)
@@ -908,7 +908,7 @@ def test_a_probe_that_reads_the_moments_and_moment_l1_builds_the_first_block_onc
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
-def test_derive_kappas_keep_the_scale_of_residuals_whose_squares_leave_the_float_range(scale):
+def test_default_kappas_keep_the_scale_of_residuals_whose_squares_leave_the_float_range(scale):
     # np.std of these residuals overflows (1e160) or underflows (1e-170);
     # usage_p 0 keeps the targets, whose holdout MSE overflows at 1e160
     data = generate_linear(300, 4, noise_variance=1.0, seed=0)
@@ -917,6 +917,18 @@ def test_derive_kappas_keep_the_scale_of_residuals_whose_squares_leave_the_float
     with np.errstate(over="ignore", under="ignore"):
         kappas = run(dataclasses.replace(data, targets=data.targets * scale), config).kappa_list
     assert np.allclose(np.array(kappas) / scale, base, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("total_steps", [10, 60])
+def test_zero_adherence_copies_the_prediction_where_the_holdout_mse_overflows(total_steps):
+    # residuals near 1e160 square past the float range, so sigma2 is inf,
+    # and a scale of sqrt(0 * inf) would draw NaN
+    data = generate_linear(300, 4, noise_variance=1.0, seed=0)
+    data = dataclasses.replace(data, targets=data.targets * 1e160)
+    config = cfg(total_steps=total_steps, usage_p=1.0, adherence_s=0.0, repeats=2)
+    with np.errstate(over="ignore"):
+        report = run(data, config)
+    assert np.array_equal(report.step_traces.z_sampled, report.step_traces.y_pred)
 
 
 @pytest.mark.parametrize("setting", [SETTING_SAMPLING, SETTING_SLIDING])

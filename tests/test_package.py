@@ -80,7 +80,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(
     path.relative_to(ROOT).as_posix()
-    for folder in ("src/loopsim", "tests", "demos") for path in (ROOT / folder).glob("*.py")
+    for folder in ("src/loopsim", "tests", "demos", "tools")
+    for path in (ROOT / folder).glob("*.py")
 ))
 def test_no_unused_import(path):
     assert _unused_imports(ast.parse((ROOT / path).read_text(encoding="utf-8"))) == []
